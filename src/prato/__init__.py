@@ -37,8 +37,10 @@ from .prune import (
 )
 from .pipeline import (
     CostReport,
+    EncodedPrefix,
     PipelineConfig,
     PromptPerturbation,
+    encode_prefix,
     estimate_flops,
     perturb_prompt,
     run_pipeline,

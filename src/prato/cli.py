@@ -7,7 +7,8 @@ Subcommands:
   check  run the built-in oracle and property suites
 
 A JSON config file supplies pipeline fields; the PRATO_SEED environment
-variable overrides the configured seed everywhere.
+variable overrides the configured seed everywhere. Library errors and
+file errors print one line, ``prato: error: <message>``, and exit 2.
 """
 
 from __future__ import annotations
@@ -16,12 +17,30 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
+from .errors import ConfigurationError, PratoError
 from .pipeline import PipelineConfig, config_from_dict, run_pipeline
 from .prune import ThresholdPolicy
 from .roi import load_box
 from .synth import generate_scene, run_sweep, save_scene, sweep_spec_from_dict
 from .tokens import load_image, load_plane_csv
+
+
+def _seed(text, name: str = "seed") -> int:
+    """A seed given on the command line or in PRATO_SEED: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ConfigurationError(f"{name} must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
+def _env_seed():
+    text = os.environ.get("PRATO_SEED")
+    return None if text is None else _seed(text, "PRATO_SEED")
 
 
 def _load_config(path) -> PipelineConfig:
@@ -32,8 +51,6 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    from dataclasses import replace
-
     kwargs = {}
     if getattr(args, "patch_size", None) is not None:
         kwargs["patch_size"] = args.patch_size
@@ -48,14 +65,15 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
             mode or cfg.policy.mode,
             value if value is not None else cfg.policy.value,
         )
-    env_seed = os.environ.get("PRATO_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        kwargs["seed"] = int(env_seed)
+        kwargs["seed"] = env_seed
     return replace(cfg, **kwargs) if kwargs else cfg
 
 
 def _cmd_synth(args) -> int:
-    seed = int(os.environ.get("PRATO_SEED", args.seed))
+    env_seed = _env_seed()
+    seed = args.seed if env_seed is None else env_seed
     manifest = []
     for i in range(args.count):
         scene = generate_scene(args.kind, args.size, seed=seed + i)
@@ -81,9 +99,9 @@ def _cmd_prune(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.spec) as f:
         spec = sweep_spec_from_dict(json.load(f))
-    env_seed = os.environ.get("PRATO_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        spec.base_seed = int(env_seed)
+        spec = replace(spec, base_seed=env_seed)
     summary = run_sweep(spec, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["failed_rows"] == 0 else 1
@@ -105,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--count", type=int, default=10)
     p_synth.add_argument("--size", type=int, default=128)
     p_synth.add_argument("--kind", choices=("ellipse", "rectangle", "blob"), default="ellipse")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_prune = sub.add_parser("prune", help="run one image + box and print the cost report")
@@ -116,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--roi-k", dest="roi_k", type=int, default=None)
     p_prune.add_argument("--tau-mode", dest="tau_mode", choices=("fixed", "percentile"), default=None)
     p_prune.add_argument("--tau-value", dest="tau_value", type=float, default=None)
-    p_prune.add_argument("--seed", type=int, default=None)
+    p_prune.add_argument("--seed", type=_seed, default=None)
     p_prune.set_defaults(func=_cmd_prune)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep spec (JSON) and write CSV/JSON reports")
@@ -131,7 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PratoError, OSError) as exc:
+        print(f"prato: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

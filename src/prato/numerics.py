@@ -9,6 +9,8 @@ Philox generator so that a seed fully determines every sample stream.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 
 import numpy as np
@@ -104,15 +106,34 @@ def save_matrix(path, m) -> None:
         f.write(m.astype("<f8").tobytes(order="C"))
 
 
-def load_matrix(path) -> np.ndarray:
+def read_container(path, magic: bytes, n_dims: int) -> tuple[tuple, np.ndarray]:
+    """Read a binary container: ``magic``, ``n_dims`` u32 sizes, then their product of f64.
+
+    The header is read strictly and its declared payload size is checked
+    against the rest of the file before the payload is read, so every
+    malformed file raises ValidationError and no size is trusted blindly.
+    """
+    header = len(magic) + 4 * n_dims
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MATRIX_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-        rows, cols = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(rows * cols * 8), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValidationError(f"{path}: truncated payload ({data.size} of {rows * cols} values)")
+        head = f.read(header)
+        if head[:len(magic)] != magic:
+            raise ValidationError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
+        if len(head) != header:
+            raise ValidationError(f"{path}: truncated header ({len(head)} of {header} bytes)")
+        dims = struct.unpack(f"<{n_dims}I", head[len(magic):])
+        size = 8 * math.prod(dims)
+        remaining = os.fstat(f.fileno()).st_size - header
+        if remaining != size:
+            raise ValidationError(
+                f"{path}: header declares {'x'.join(map(str, dims))} values "
+                f"({size} bytes) but {remaining} payload bytes follow"
+            )
+        data = np.frombuffer(f.read(size), dtype="<f8")
+    return dims, data
+
+
+def load_matrix(path) -> np.ndarray:
+    (rows, cols), data = read_container(path, MATRIX_MAGIC, 2)
     return data.reshape(rows, cols).astype(np.float64)
 
 

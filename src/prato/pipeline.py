@@ -10,6 +10,21 @@ zeroed. The cost model counts multiply-accumulates as 2 FLOPs and
 assumes compaction, so zero-mode reports describe the savings that
 compaction of the same mask would realize.
 
+A run has two halves. The prefix validates the image, builds the
+weights (unless they are passed), tokenizes, and runs blocks
+``0..stage_indices[0]``; none of that reads the prompt, the threshold
+policy or ``roi_k``. The continuation scores, masks and encodes the
+remaining blocks and builds the :class:`CostReport`. ``run_pipeline``
+is prefix-then-continuation, and a caller may pass a prefix it encoded
+earlier to run only the continuation: the sweep encodes one prefix per
+scene seed and reuses it for every (policy, k, perturbation) cell, and
+its CSV and JSON output stay byte-identical to running each cell from
+scratch. A prefix is only reused under its key, the config fields and
+image shape that determine the weights and the prefix tokens (seed,
+depth, first stage, patch size, embed width, heads, d_v, positional
+mode, projection tying, residual mode, LN epsilon, and the image's
+channels, height and width), and only on the image it was encoded from.
+
 Per block over n tokens of width C:
     qkv projections   3 * 2n*C^2
     attention scores + weighted sum   2 * 2n^2*C
@@ -40,7 +55,7 @@ from .prune import (
 )
 from .numerics import softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
-from .tokens import TokenGrid, make_embedder, tokenize_image, validate_image
+from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,8 @@ class PipelineConfig:
             )
         if self.mask_mode not in ("zero", "compact"):
             raise ConfigurationError(f"unknown mask mode {self.mask_mode!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -287,38 +304,119 @@ def _stage_bundle(
     )
 
 
-def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeights = None):
-    """Run embed -> encode -> prune stages; returns (tokens, bundles, report).
+@dataclass(frozen=True)
+class EncodedPrefix:
+    """The work of a run before its first pruning stage, reusable across prompts.
 
-    Deterministic for a fixed (image, box, config, seed). ``weights``
-    may be passed to reuse materialized weights across runs of the same
-    config.
+    ``tokens`` are the read-only (Z, C) tokens after block
+    ``stage_indices[0]``. ``key`` is :func:`prefix_key` of the config
+    and image the prefix was encoded under, and ``image`` is that image,
+    which must not be modified in place while the prefix is reused.
     """
+
+    key: dict
+    image: np.ndarray
+    weights: PipelineWeights
+    tokens: np.ndarray
+
+
+def prefix_key(cfg: PipelineConfig, image_shape) -> dict:
+    """Config fields and image shape that determine the weights and the prefix tokens."""
+    return {
+        "seed": cfg.seed, "depth": cfg.depth, "first_stage": cfg.stage_indices[0],
+        "patch_size": cfg.patch_size, "embed_dim": cfg.embed_dim, "heads": cfg.heads,
+        "d_v": cfg.d_v, "positional": cfg.positional, "proj_tied": cfg.proj_tied,
+        "residual": cfg.residual, "ln_eps": cfg.ln_eps, "image_shape": tuple(image_shape),
+    }
+
+
+def _check_weights(weights: PipelineWeights, cfg: PipelineConfig, channels: int, z: int) -> None:
+    """Raise ConfigurationError unless the weights have the shapes the config and image need."""
+    c, p = cfg.embed_dim, cfg.patch_size
+    found_expected = {
+        "blocks": (len(weights.blocks), cfg.depth),
+        "block widths": ({blk.width for blk in weights.blocks}, {c}),
+        "block heads": ({blk.heads for blk in weights.blocks}, {cfg.heads}),
+        "embedder projection": (weights.embedder.projection.shape, (channels * p * p, c)),
+        "positional table": (weights.embedder.positional.shape, (z, c)),
+        "relevance projections": (weights.projections.f1.shape, (c, cfg.d_v)),
+    }
+    bad = [f"{name} {found} != {expected}"
+           for name, (found, expected) in found_expected.items() if found != expected]
+    if bad:
+        raise ConfigurationError("weights do not fit the config: " + "; ".join(bad))
+
+
+def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> EncodedPrefix:
+    """Validate, build or check the weights, tokenize, and run blocks up to the first stage."""
     img = validate_image(img)
     channels, h, w_px = img.shape
     p = cfg.patch_size
     if h % p != 0 or w_px % p != 0:
         raise ConfigurationError(f"image {h}x{w_px} is not divisible by patch size {p}")
     grid_h, grid_w = h // p, w_px // p
-    z = grid_h * grid_w
     if weights is None:
         weights = build_pipeline_weights(cfg, channels, grid_h, grid_w)
+    else:
+        _check_weights(weights, cfg, channels, grid_h * grid_w)
 
-    grid = tokenize_image(img, weights.embedder, p)
-    live_tokens = grid.tokens
-    live_coords = grid.token_index_map
+    tokens = tokenize_image(img, weights.embedder, p).tokens
+    # no token is dropped before the first stage, so zero mode's mask is all ones
+    for b in range(cfg.stage_indices[0] + 1):
+        tokens = encode_tokens(tokens, weights.blocks[b], residual=cfg.residual, ln_eps=cfg.ln_eps)
+    tokens.flags.writeable = False
+    return EncodedPrefix(key=prefix_key(cfg, img.shape), image=img, weights=weights, tokens=tokens)
+
+
+def _check_prefix(prefix: EncodedPrefix, img, cfg: PipelineConfig) -> None:
+    img = np.asarray(img, dtype=np.float64)
+    key = prefix_key(cfg, img.shape)
+    bad = [f"{name} {prefix.key[name]!r} != {key[name]!r}"
+           for name in key if prefix.key[name] != key[name]]
+    if bad:
+        raise ConfigurationError("prefix was encoded under a different key: " + "; ".join(bad))
+    if not np.array_equal(img, prefix.image):
+        raise ConfigurationError("prefix was encoded from a different image")
+
+
+def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeights = None,
+                 prefix: EncodedPrefix = None):
+    """Run embed -> encode -> prune stages; returns (tokens, bundles, report).
+
+    Deterministic for a fixed (image, box, config, seed). ``weights``
+    may be passed to reuse materialized weights across runs of the same
+    config; ``prefix``, from :func:`encode_prefix` on the same image and
+    a config with the same :func:`prefix_key`, skips everything before
+    the first stage. The output is bit-identical either way.
+    """
+    if prefix is None:
+        prefix = encode_prefix(img, cfg, weights)
+    elif weights is not None:
+        raise ConfigurationError("pass weights or a prefix, not both")
+    else:
+        _check_prefix(prefix, img, cfg)
+    weights = prefix.weights
+    p = cfg.patch_size
+    grid_h, grid_w = prefix.image.shape[1] // p, prefix.image.shape[2] // p
+    z = grid_h * grid_w
+    first = cfg.stage_indices[0]
+
+    live_tokens = prefix.tokens
+    live_coords = row_major_index_map(grid_h, grid_w)
     live_mask = np.ones(z, dtype=bool)  # zero-mode bookkeeping
 
     bundles: list[RelevanceBundle] = []
     retained_per_stage: list[int] = []
-    tokens_per_block: list[int] = []
+    tokens_per_block: list[int] = [z] * (first + 1)
 
-    for b in range(cfg.depth):
-        tokens_per_block.append(live_tokens.shape[0] if cfg.mask_mode == "compact" else int(live_mask.sum()))
-        live_tokens = encode_tokens(live_tokens, weights.blocks[b],
-                                    residual=cfg.residual, ln_eps=cfg.ln_eps)
-        if cfg.mask_mode == "zero":
-            live_tokens = live_tokens * live_mask[:, None]
+    for b in range(first, cfg.depth):
+        if b > first:
+            tokens_per_block.append(live_tokens.shape[0] if cfg.mask_mode == "compact"
+                                    else int(live_mask.sum()))
+            live_tokens = encode_tokens(live_tokens, weights.blocks[b],
+                                        residual=cfg.residual, ln_eps=cfg.ln_eps)
+            if cfg.mask_mode == "zero":
+                live_tokens = live_tokens * live_mask[:, None]
         if b not in cfg.stage_indices:
             continue
 
@@ -343,14 +441,10 @@ def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeig
             retained_per_stage.append(int(live_mask.sum()))
         bundles.append(bundle)
 
-    if cfg.mask_mode == "compact":
-        pruned = PrunedTokens(mode="compact", tokens=live_tokens,
-                              retained_coords=live_coords, grid_h=grid_h, grid_w=grid_w)
-    else:
-        coords = TokenGrid(tokens=live_tokens, grid_h=grid_h, grid_w=grid_w,
-                           patch_size=p).token_index_map[live_mask]
-        pruned = PrunedTokens(mode="zero", tokens=live_tokens,
-                              retained_coords=coords, grid_h=grid_h, grid_w=grid_w)
+    if cfg.mask_mode == "zero":
+        live_coords = live_coords[live_mask]
+    pruned = PrunedTokens(mode=cfg.mask_mode, tokens=live_tokens,
+                          retained_coords=live_coords, grid_h=grid_h, grid_w=grid_w)
 
     final_live = pruned.retained_count
     flops_full, flops_pruned = estimate_flops(z, cfg.embed_dim, cfg.depth, tokens_per_block)

@@ -10,6 +10,7 @@ comes with a prompt whose quality is known by construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,7 @@ from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
     config_from_dict,
+    encode_prefix,
     perturb_prompt,
     run_pipeline,
     token_in_box_mask,
@@ -150,6 +152,8 @@ class SweepSpec:
             raise ConfigurationError("sweep lists must be non-empty")
         if self.seeds < 1:
             raise ConfigurationError("sweep needs at least one seed")
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base seed must be >= 0, got {self.base_seed}")
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
@@ -207,49 +211,61 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
 
     Output is deterministic: rerunning the same spec reproduces the CSV
     byte for byte. Failures of individual cells are recorded in the
-    ``error`` column and the sweep continues.
+    ``error`` column and the sweep continues. Each scene seed's scene,
+    weights and encoded prefix are computed once and shared by all its
+    cells; a prefix failure is recorded in every cell of that seed.
+    Rows are written policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)
     from .pipeline import box_iou  # local import to keep module deps one-way
 
-    rows = []
-    for policy in spec.policies:
-        for k in spec.k_values:
-            for pert in spec.perturbations:
-                for s in range(spec.seeds):
-                    scene_seed = spec.base_seed ^ s
-                    scene = generate_scene(spec.target_kind, spec.size, scene_seed)
-                    cfg = replace(spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
-                    pert_rng = make_rng(scene_seed ^ 0x5EED)
-                    box = perturb_prompt(scene.tight_box, pert, pert_rng)
-                    row = {
-                        "policy_mode": policy.mode,
-                        "policy_value": repr(policy.value),
-                        "k": k,
-                        "perturbation": pert.kind,
-                        "magnitude": repr(pert.magnitude),
-                        "seed": scene_seed,
-                        "error": "",
-                    }
-                    try:
-                        pruned, _, report = run_pipeline(scene.image, box, cfg)
-                        in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
-                        row.update({
-                            "Z": report.tokens_full,
-                            "retained_final": pruned.retained_count,
-                            "token_sparsity": repr(report.token_sparsity),
-                            "flops_full": report.flops_full,
-                            "flops_pruned": report.flops_pruned,
-                            "flops_reduction": repr(report.flops_reduction),
-                            "in_box_density": repr(in_d),
-                            "out_box_density": repr(out_d),
-                            "original_box_density": repr(orig_d),
-                            "box_iou_with_tight": repr(box_iou(box, scene.tight_box)),
-                        })
-                    except Exception as exc:  # record and continue
-                        row.update({c: "" for c in CSV_COLUMNS if c not in row})
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    rows.append(row)
+    cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
+    rows = [[None] * spec.seeds for _ in cells]
+    for s in range(spec.seeds):
+        scene_seed = spec.base_seed ^ s
+        scene = generate_scene(spec.target_kind, spec.size, scene_seed)
+        prefix, prefix_error = None, ""
+        try:
+            prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
+        except Exception as exc:  # recorded in every cell of this seed
+            prefix_error = f"{type(exc).__name__}: {exc}"
+        for i, (policy, k, pert) in enumerate(cells):
+            cfg = replace(spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
+            pert_rng = make_rng(scene_seed ^ 0x5EED)
+            box = perturb_prompt(scene.tight_box, pert, pert_rng)
+            row = {
+                "policy_mode": policy.mode,
+                "policy_value": repr(policy.value),
+                "k": k,
+                "perturbation": pert.kind,
+                "magnitude": repr(pert.magnitude),
+                "seed": scene_seed,
+                "error": "",
+            }
+            error = prefix_error
+            if not error:
+                try:
+                    pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix)
+                    in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
+                    row.update({
+                        "Z": report.tokens_full,
+                        "retained_final": pruned.retained_count,
+                        "token_sparsity": repr(report.token_sparsity),
+                        "flops_full": report.flops_full,
+                        "flops_pruned": report.flops_pruned,
+                        "flops_reduction": repr(report.flops_reduction),
+                        "in_box_density": repr(in_d),
+                        "out_box_density": repr(out_d),
+                        "original_box_density": repr(orig_d),
+                        "box_iou_with_tight": repr(box_iou(box, scene.tight_box)),
+                    })
+                except Exception as exc:  # record and continue
+                    error = f"{type(exc).__name__}: {exc}"
+            if error:
+                row.update({c: "" for c in CSV_COLUMNS if c not in row})
+                row["error"] = error
+            rows[i][s] = row
+    rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", newline="") as f:

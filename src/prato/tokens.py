@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, gaussian_matrix, make_rng
+from .numerics import as_matrix, gaussian_matrix, make_rng, read_container
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -192,15 +192,8 @@ def save_image(path, img) -> None:
 
 
 def load_image(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != IMAGE_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {IMAGE_MAGIC!r}")
-        c, h, w = struct.unpack("<III", f.read(12))
-        data = np.frombuffer(f.read(c * h * w * 8), dtype="<f8")
-    if data.size != c * h * w:
-        raise ValidationError(f"{path}: truncated payload ({data.size} of {c * h * w} values)")
-    return data.reshape(c, h, w).astype(np.float64)
+    (c, h, w), data = read_container(path, IMAGE_MAGIC, 3)
+    return validate_image(data.reshape(c, h, w).astype(np.float64))
 
 
 def load_plane_csv(path) -> np.ndarray:

@@ -88,6 +88,39 @@ class TestPruneCommand:
         assert json.loads(capsys.readouterr().out)["Z"] == 16
 
 
+class TestErrors:
+    def test_missing_file_is_one_line(self, scene_files, tmp_path, capsys):
+        _, box = scene_files
+        rc = main(["prune", "--image", str(tmp_path / "missing.prti"), "--box", str(box)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("prato: error: ") and "missing.prti" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["prune", "synth", "sweep"])
+    def test_negative_env_seed_is_one_line(self, scene_files, tmp_path, capsys, monkeypatch,
+                                           command):
+        image, box = scene_files
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"policies": [{"mode": "percentile", "value": 25}],
+                                         "k_values": [3], "perturbations": [{"kind": "tight"}],
+                                         "seeds": 1, "size": 64}))
+        argv = {
+            "prune": ["prune", "--image", str(image), "--box", str(box)],
+            "synth": ["synth", "--out", str(tmp_path / "scenes"), "--count", "1", "--size", "64"],
+            "sweep": ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out")],
+        }[command]
+        monkeypatch.setenv("PRATO_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "prato: error: PRATO_SEED must be >= 0, got -1\n"
+
+    def test_negative_seed_flag_rejected(self, scene_files):
+        image, box = scene_files
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", "--image", str(image), "--box", str(box), "--seed", "-1"])
+        assert exc.value.code == 2
+
+
 class TestSweepCommand:
     def test_runs_spec(self, tmp_path, capsys):
         spec = {

@@ -1,6 +1,7 @@
 """Kernel tests: analytic cases, brute-force oracles, and properties."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from prato.numerics import (
     save_matrix_csv,
     softmax_rows,
 )
+from prato.tokens import load_image, save_image
 
 
 class TestMatmul:
@@ -168,6 +170,25 @@ class TestMatrixIO:
         with pytest.raises(ValidationError):
             load_matrix(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.prtm"
+        path.write_bytes(b"PRTM" + struct.pack("<I", 2) + b"\x03")
+        with pytest.raises(ValidationError, match="truncated header"):
+            load_matrix(path)
+
+    def test_declared_size_checked_before_payload(self, tmp_path):
+        path = tmp_path / "huge.prtm"
+        path.write_bytes(b"PRTM" + struct.pack("<II", 2**31, 2**31) + b"\x00" * 16)
+        with pytest.raises(ValidationError, match="payload bytes"):
+            load_matrix(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.prtm"
+        save_matrix(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValidationError):
+            load_matrix(path)
+
     def test_csv_roundtrip(self, tmp_path):
         rng = make_rng(7)
         m = rng.normal(size=(9, 11))
@@ -178,3 +199,28 @@ class TestMatrixIO:
     def test_csv_cap(self, tmp_path):
         with pytest.raises(ValidationError):
             save_matrix_csv(tmp_path / "big.csv", np.zeros((101, 101)))
+
+
+_LOADERS = [(load_matrix, save_matrix, np.zeros((2, 3))),
+            (load_image, save_image, np.full((2, 3, 2), 0.5))]
+
+
+@pytest.mark.parametrize("load, save, value", _LOADERS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_malformed_containers_raise_only_validation_error(tmp_path_factory, load, save, value, data):
+    path = tmp_path_factory.mktemp("fuzz") / "blob"
+    save(path, value)
+    valid = path.read_bytes()
+    blob = data.draw(st.one_of(
+        st.binary(max_size=96),
+        st.binary(max_size=96).map(lambda tail: valid[:4] + tail),
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+    ))
+    path.write_bytes(blob)
+    try:
+        out = load(path)
+    except ValidationError:
+        return
+    header = len(valid) - 8 * value.size
+    assert out.dtype == np.float64 and 8 * out.size == len(blob) - header

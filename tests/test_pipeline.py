@@ -1,6 +1,7 @@
 """Pipeline tests: cost model recounts, retention laws, perturbations, determinism."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from prato.pipeline import (
     PromptPerturbation,
     block_flop_terms,
     box_iou,
+    build_pipeline_weights,
     config_from_dict,
+    encode_prefix,
     estimate_flops,
     perturb_prompt,
     run_batch,
@@ -241,6 +244,8 @@ class TestHelpers:
             PipelineConfig(depth=2, stage_indices=(5,))
         with pytest.raises(ConfigurationError):
             PipelineConfig(mask_mode="sideways")
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(seed=-1)
 
     def test_default_stage_is_middle_block(self):
         assert PipelineConfig(depth=4).stage_indices == (1,)
@@ -262,3 +267,99 @@ class TestHelpers:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("index,Z,retained")
+
+
+def _assert_same_run(a, b):
+    (pa, bundles_a, ra), (pb, bundles_b, rb) = a, b
+    assert np.array_equal(pa.tokens, pb.tokens)
+    assert np.array_equal(pa.retained_coords, pb.retained_coords)
+    assert ra == rb
+    assert len(bundles_a) == len(bundles_b)
+    for ba, bb in zip(bundles_a, bundles_b):
+        for f in fields(ba):
+            assert np.array_equal(getattr(ba, f.name), getattr(bb, f.name)), f.name
+
+
+class TestPrefixReuse:
+    @pytest.mark.parametrize("stages", [(0,), (1,), (0, 1, 2), (3,)])
+    @pytest.mark.parametrize("mask_mode", ["compact", "zero"])
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    def test_reused_prefix_is_bit_identical(self, stages, mask_mode, residual):
+        scene = generate_scene("ellipse", 128, seed=11)
+        base = PipelineConfig(depth=4, stage_indices=stages, residual=residual, seed=11)
+        # encoded under the default policy, k and mask mode: none of them is in the key
+        prefix = encode_prefix(scene.image, base)
+        boxes = [scene.tight_box,
+                 perturb_prompt(scene.tight_box, PromptPerturbation("oversized", 0.5), make_rng(1))]
+        policies = [ThresholdPolicy("percentile", 25.0), ThresholdPolicy("percentile", 60.0),
+                    ThresholdPolicy("fixed", 0.5)]
+        for box in boxes:
+            for policy in policies:
+                for k in (3, 5):
+                    cfg = replace(base, mask_mode=mask_mode, policy=policy, roi_k=k)
+                    fresh = run_pipeline(scene.image, box, cfg)
+                    reused = run_pipeline(scene.image, box, cfg, prefix=prefix)
+                    _assert_same_run(fresh, reused)
+
+    def test_prefix_tokens_are_read_only(self):
+        scene = generate_scene("ellipse", 64, seed=0)
+        prefix = encode_prefix(scene.image, PipelineConfig(depth=2, seed=0))
+        with pytest.raises(ValueError):
+            prefix.tokens[0, 0] = 1.0
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=1), dict(depth=5), dict(stage_indices=(2,)), dict(patch_size=8),
+        dict(embed_dim=32), dict(heads=2), dict(d_v=32), dict(positional="learned"),
+        dict(proj_tied=False), dict(residual="sublayer"), dict(ln_eps=1e-5),
+    ])
+    def test_prefix_under_other_key_rejected(self, change):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=4, seed=0)
+        prefix = encode_prefix(scene.image, cfg)
+        with pytest.raises(ConfigurationError, match="different key"):
+            run_pipeline(scene.image, scene.tight_box, replace(cfg, **change), prefix=prefix)
+
+    @pytest.mark.parametrize("shape", [(1, 128, 64), (1, 64, 128), (3, 64, 64)])
+    def test_prefix_of_other_image_shape_rejected(self, shape):
+        cfg = PipelineConfig(depth=2, seed=0)
+        prefix = encode_prefix(generate_scene("ellipse", 64, seed=0).image, cfg)
+        with pytest.raises(ConfigurationError, match="image_shape"):
+            run_pipeline(np.full(shape, 0.5), _mid_box(), cfg, prefix=prefix)
+
+    def test_prefix_of_other_image_rejected(self):
+        cfg = PipelineConfig(depth=2, seed=0)
+        prefix = encode_prefix(generate_scene("ellipse", 64, seed=0).image, cfg)
+        other = generate_scene("ellipse", 64, seed=1)
+        with pytest.raises(ConfigurationError, match="different image"):
+            run_pipeline(other.image, other.tight_box, cfg, prefix=prefix)
+
+    def test_weights_and_prefix_together_rejected(self):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=2, seed=0)
+        prefix = encode_prefix(scene.image, cfg)
+        with pytest.raises(ConfigurationError):
+            run_pipeline(scene.image, scene.tight_box, cfg, prefix.weights, prefix=prefix)
+
+    def test_prebuilt_weights_match_fresh_run(self):
+        scene = generate_scene("blob", 64, seed=4)
+        cfg = PipelineConfig(depth=3, seed=4)
+        weights = build_pipeline_weights(cfg, 1, 4, 4)
+        _assert_same_run(run_pipeline(scene.image, scene.tight_box, cfg),
+                         run_pipeline(scene.image, scene.tight_box, cfg, weights))
+
+    @pytest.mark.parametrize("built_with, grid", [
+        (dict(depth=2), 4), (dict(embed_dim=32), 4), (dict(heads=2), 4),
+        (dict(d_v=32), 4), (dict(patch_size=8), 4), ({}, 8),
+    ])
+    def test_weights_that_do_not_fit_rejected(self, built_with, grid):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=4, seed=0)
+        weights = build_pipeline_weights(replace(cfg, **built_with), 1, grid, grid)
+        with pytest.raises(ConfigurationError, match="do not fit"):
+            run_pipeline(scene.image, scene.tight_box, cfg, weights)
+
+    def test_weights_for_other_channel_count_rejected(self):
+        cfg = PipelineConfig(depth=2, seed=0)
+        weights = build_pipeline_weights(cfg, 1, 4, 4)
+        with pytest.raises(ConfigurationError, match="do not fit"):
+            run_pipeline(np.full((3, 64, 64), 0.5), _mid_box(), cfg, weights)

@@ -1,16 +1,31 @@
 """Scene generator and sweep harness tests."""
 
+import csv
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import prato.pipeline
+import prato.synth
 from prato.errors import ConfigurationError, ValidationError
-from prato.pipeline import PipelineConfig, PromptPerturbation, run_pipeline
+from prato.numerics import make_rng
+from prato.pipeline import (
+    PipelineConfig,
+    PromptPerturbation,
+    box_iou,
+    perturb_prompt,
+    run_pipeline,
+)
 from prato.prune import ThresholdPolicy
 from prato.synth import (
     AREA_BOUNDS,
+    CSV_COLUMNS,
     SweepSpec,
     generate_scene,
     run_sweep,
+    _retention_densities,
     save_scene,
     sweep_spec_from_dict,
     tight_box,
@@ -215,3 +230,97 @@ class TestRunSweep:
     def test_empty_lists_rejected(self):
         with pytest.raises(ConfigurationError):
             _small_spec(k_values=[])
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigurationError):
+            _small_spec(base_seed=-1)
+
+
+def _reference_sweep_csv(spec) -> bytes:
+    """Every cell from scratch, in row order policy, k, perturbation, seed."""
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for policy in spec.policies:
+        for k in spec.k_values:
+            for pert in spec.perturbations:
+                for s in range(spec.seeds):
+                    seed = spec.base_seed ^ s
+                    scene = generate_scene(spec.target_kind, spec.size, seed)
+                    box = perturb_prompt(scene.tight_box, pert, make_rng(seed ^ 0x5EED))
+                    cfg = replace(spec.pipeline, policy=policy, roi_k=k, seed=seed)
+                    row = dict.fromkeys(CSV_COLUMNS, "")
+                    row.update(policy_mode=policy.mode, policy_value=repr(policy.value), k=k,
+                               perturbation=pert.kind, magnitude=repr(pert.magnitude), seed=seed)
+                    try:
+                        pruned, _, report = run_pipeline(scene.image, box, cfg)
+                    except Exception as exc:
+                        row["error"] = f"{type(exc).__name__}: {exc}"
+                        writer.writerow(row)
+                        continue
+                    in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
+                    row.update(
+                        Z=report.tokens_full, retained_final=pruned.retained_count,
+                        token_sparsity=repr(report.token_sparsity),
+                        flops_full=report.flops_full, flops_pruned=report.flops_pruned,
+                        flops_reduction=repr(report.flops_reduction),
+                        in_box_density=repr(in_d), out_box_density=repr(out_d),
+                        original_box_density=repr(orig_d),
+                        box_iou_with_tight=repr(box_iou(box, scene.tight_box)),
+                    )
+                    writer.writerow(row)
+    return out.getvalue().encode()
+
+
+# a cell that keeps no token fails after the prefix; patch size 24 fails the prefix itself
+_FAILING_SPECS = {
+    "cell": dict(policies=[ThresholdPolicy("percentile", 25.0), ThresholdPolicy("fixed", 0.999999)],
+                 k_values=[3, 5], seeds=2, base_seed=5,
+                 perturbations=[PromptPerturbation("tight"), PromptPerturbation("partial", 0.5)],
+                 pipeline=PipelineConfig(depth=3, stage_indices=(0, 1), seed=0)),
+    "prefix": dict(k_values=[3, 5], seeds=2,
+                   pipeline=PipelineConfig(depth=2, patch_size=24, seed=0)),
+}
+
+
+class TestSweepPrefixReuse:
+    @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
+    def test_matches_per_cell_reference(self, tmp_path, failing):
+        spec = _small_spec(**_FAILING_SPECS[failing])
+        summary = run_sweep(spec, tmp_path)
+        assert summary["failed_rows"] > 0
+        assert (tmp_path / "sweep.csv").read_bytes() == _reference_sweep_csv(spec)
+
+    @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
+    def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing):
+        calls = {}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((prato.synth, "generate_scene"), (prato.synth, "encode_prefix"),
+                             (prato.synth, "run_pipeline"),
+                             (prato.pipeline, "build_pipeline_weights"),
+                             (prato.pipeline, "encode_tokens")):
+            counting(module, name)
+        spec = _small_spec(**_FAILING_SPECS[failing])
+        summary = run_sweep(spec, tmp_path)
+        n_cells = len(spec.policies) * len(spec.k_values) * len(spec.perturbations)
+        cfg = spec.pipeline
+        assert calls["generate_scene"] == spec.seeds
+        assert calls["encode_prefix"] == spec.seeds
+        if failing == "prefix":  # no cell retries the failed prefix
+            assert "run_pipeline" not in calls and "build_pipeline_weights" not in calls
+            return
+        assert calls["build_pipeline_weights"] == spec.seeds
+        assert calls["run_pipeline"] == n_cells * spec.seeds
+        # the prefix blocks run once per seed; the failing cells stop at the first stage
+        first = cfg.stage_indices[0]
+        ok_rows = summary["total_rows"] - summary["failed_rows"]
+        assert calls["encode_tokens"] == spec.seeds * (first + 1) + ok_rows * (cfg.depth - first - 1)

@@ -1,11 +1,13 @@
 """Tokenizer tests: patch partitioning, embedding, grid bookkeeping, image IO."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prato.errors import ConfigurationError, ShapeError
+from prato.errors import ConfigurationError, ShapeError, ValidationError
 from prato.numerics import make_rng
 from prato.tokens import (
     EmbedderWeights,
@@ -126,6 +128,15 @@ class TestImageIO:
         save_image(path, img)
         assert np.array_equal(load_image(path), img)
         assert path.read_bytes()[:4] == b"PRTI"
+
+    def test_out_of_range_payload_rejected_on_load(self, tmp_path):
+        path = tmp_path / "img.prti"
+        save_image(path, np.zeros((1, 2, 2)))
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError):
+            load_image(path)
 
     def test_csv_plane(self, tmp_path):
         plane = make_rng(6).random((4, 4))
