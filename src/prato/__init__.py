@@ -16,7 +16,7 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
-from .numerics import layer_norm, logistic, make_rng, matmul, softmax_rows
+from .numerics import layer_norm, logistic, make_rng, softmax_rows
 from .tokens import EmbedderWeights, TokenGrid, embed_tokens, make_embedder, patchify, tokenize_image
 from .encoder import BlockWeights, attention_map, encode_block, encode_tokens, init_block_weights
 from .roi import BoxPrompt, GridBox, RegionFeature, map_box_to_grid, roi_align
@@ -31,7 +31,6 @@ from .prune import (
     compute_similarity,
     inverse_entropy_weights,
     make_projections,
-    prato_score,
     relevance_scores,
     scatter_tokens,
 )
@@ -43,6 +42,7 @@ from .pipeline import (
     encode_prefix,
     estimate_flops,
     perturb_prompt,
+    prato_score,
     run_pipeline,
 )
 from .metrics import (

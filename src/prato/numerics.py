@@ -31,19 +31,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with a fixed, repeatable accumulation order.
-
-    Delegates to numpy's dot kernel, which is deterministic for fixed
-    shapes on a given platform; repeat calls are bit-identical.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     m = as_matrix(m, "m")

@@ -2,13 +2,16 @@
 
 A pipeline run embeds the image, pushes tokens through ``depth``
 encoder blocks, and after each configured stage scores the live tokens
-against the box prompt and drops the low-relevance ones. In compact
-mode the surviving tokens travel as a reduced set (their grid
-coordinates ride along, and later region pooling sees dropped cells as
-zeros); in zero mode the grid shape is kept and dropped rows are
-zeroed. The cost model counts multiply-accumulates as 2 FLOPs and
-assumes compaction, so zero-mode reports describe the savings that
-compaction of the same mask would realize.
+against the box prompt and drops the low-relevance ones. A dropped
+token is gone: later blocks do not attend to it and later stages do
+not score it, so a later stage's bundle covers only the live
+candidates (region pooling still sees the full grid, with dropped cells
+as zeros). The surviving tokens travel as a reduced set with their grid
+coordinates. ``mask_mode`` only chooses the output layout: compact
+returns that set, zero returns it scattered back onto the full grid
+with zeros at dropped positions. Both modes share one run, so their
+masks and :class:`CostReport` are the same. The cost model counts
+multiply-accumulates as 2 FLOPs.
 
 A run has two halves. The prefix validates the image, builds the
 weights (unless they are passed), tokenizes, and runs blocks
@@ -52,6 +55,7 @@ from .prune import (
     inverse_entropy_weights,
     make_projections,
     relevance_scores,
+    scatter_tokens,
 )
 from .numerics import softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
@@ -275,22 +279,30 @@ def build_pipeline_weights(cfg: PipelineConfig, channels: int, grid_h: int, grid
     return PipelineWeights(embedder=embedder, blocks=blocks, projections=projections)
 
 
-def _stage_bundle(
-    feature_grid: TokenGrid,
-    candidates: np.ndarray,
+def prato_score(
+    grid: TokenGrid,
     box: BoxPrompt,
     proj: Projections,
-    cfg: PipelineConfig,
+    k: int = 5,
+    policy: ThresholdPolicy = ThresholdPolicy("percentile", 25.0),
+    sampling_ratio: int = 2,
+    tokens: np.ndarray = None,
 ) -> RelevanceBundle:
-    """Score candidate tokens against the prompted region of the feature grid."""
-    gbox = map_box_to_grid(box, feature_grid.grid_h, feature_grid.grid_w)
-    region = roi_align(feature_grid, gbox, cfg.roi_k, cfg.sampling_ratio)
-    similarity = compute_similarity(region, candidates, proj)
+    """Full scoring chain from box prompt to prune mask, with audit trail.
+
+    The region is pooled from ``grid``; the candidates scored and masked
+    are ``tokens``, every token of ``grid`` by default. A pipeline stage
+    passes the live tokens scattered onto the full grid as ``grid`` and
+    the live tokens themselves as ``tokens``.
+    """
+    gbox = map_box_to_grid(box, grid.grid_h, grid.grid_w)
+    region = roi_align(grid, gbox, k, sampling_ratio)
+    similarity = compute_similarity(region, grid if tokens is None else tokens, proj)
     probs = softmax_rows(similarity)
     entropies = entropy_rows(probs)
     ranks, weights = inverse_entropy_weights(entropies)
     relevance = relevance_scores(similarity, weights)
-    mask, tau = build_mask(relevance, cfg.policy)
+    mask, tau = build_mask(relevance, policy)
     return RelevanceBundle(
         similarity=similarity,
         probs=probs,
@@ -361,7 +373,6 @@ def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> 
         _check_weights(weights, cfg, channels, grid_h * grid_w)
 
     tokens = tokenize_image(img, weights.embedder, p).tokens
-    # no token is dropped before the first stage, so zero mode's mask is all ones
     for b in range(cfg.stage_indices[0] + 1):
         tokens = encode_tokens(tokens, weights.blocks[b], residual=cfg.residual, ln_eps=cfg.ln_eps)
     tokens.flags.writeable = False
@@ -401,50 +412,34 @@ def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeig
     z = grid_h * grid_w
     first = cfg.stage_indices[0]
 
-    live_tokens = prefix.tokens
-    live_coords = row_major_index_map(grid_h, grid_w)
-    live_mask = np.ones(z, dtype=bool)  # zero-mode bookkeeping
-
+    pruned = PrunedTokens(mode="compact", tokens=prefix.tokens,
+                          retained_coords=row_major_index_map(grid_h, grid_w),
+                          grid_h=grid_h, grid_w=grid_w)
     bundles: list[RelevanceBundle] = []
     retained_per_stage: list[int] = []
     tokens_per_block: list[int] = [z] * (first + 1)
 
     for b in range(first, cfg.depth):
         if b > first:
-            tokens_per_block.append(live_tokens.shape[0] if cfg.mask_mode == "compact"
-                                    else int(live_mask.sum()))
-            live_tokens = encode_tokens(live_tokens, weights.blocks[b],
-                                        residual=cfg.residual, ln_eps=cfg.ln_eps)
-            if cfg.mask_mode == "zero":
-                live_tokens = live_tokens * live_mask[:, None]
+            tokens_per_block.append(pruned.retained_count)
+            pruned.tokens = encode_tokens(pruned.tokens, weights.blocks[b],
+                                          residual=cfg.residual, ln_eps=cfg.ln_eps)
         if b not in cfg.stage_indices:
             continue
-
-        if cfg.mask_mode == "compact":
-            full = np.zeros((z, cfg.embed_dim))
-            full[live_coords[:, 0] * grid_w + live_coords[:, 1]] = live_tokens
-            feature_grid = TokenGrid(tokens=full, grid_h=grid_h, grid_w=grid_w, patch_size=p)
-            bundle = _stage_bundle(feature_grid, live_tokens, box, weights.projections, cfg)
-            keep = bundle.mask.astype(bool)
-            if not keep.any():
-                raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
-            live_tokens = live_tokens[keep]
-            live_coords = live_coords[keep]
-            retained_per_stage.append(int(keep.sum()))
-        else:
-            feature_grid = TokenGrid(tokens=live_tokens, grid_h=grid_h, grid_w=grid_w, patch_size=p)
-            bundle = _stage_bundle(feature_grid, live_tokens, box, weights.projections, cfg)
-            live_mask = live_mask & bundle.mask.astype(bool)
-            if not live_mask.any():
-                raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
-            live_tokens = live_tokens * live_mask[:, None]
-            retained_per_stage.append(int(live_mask.sum()))
+        feature_grid = TokenGrid(tokens=scatter_tokens(pruned), grid_h=grid_h, grid_w=grid_w,
+                                 patch_size=p)
+        bundle = prato_score(feature_grid, box, weights.projections, cfg.roi_k, cfg.policy,
+                             cfg.sampling_ratio, tokens=pruned.tokens)
+        keep = bundle.mask.astype(bool)
+        if not keep.any():
+            raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
+        pruned.tokens = pruned.tokens[keep]
+        pruned.retained_coords = pruned.retained_coords[keep]
+        retained_per_stage.append(int(keep.sum()))
         bundles.append(bundle)
 
     if cfg.mask_mode == "zero":
-        live_coords = live_coords[live_mask]
-    pruned = PrunedTokens(mode=cfg.mask_mode, tokens=live_tokens,
-                          retained_coords=live_coords, grid_h=grid_h, grid_w=grid_w)
+        pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
 
     final_live = pruned.retained_count
     flops_full, flops_pruned = estimate_flops(z, cfg.embed_dim, cfg.depth, tokens_per_block)

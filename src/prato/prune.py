@@ -31,8 +31,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import as_matrix, gaussian_matrix, logistic, make_rng, save_matrix, softmax_rows
-from .roi import BoxPrompt, RegionFeature, map_box_to_grid, roi_align
+from .numerics import as_matrix, gaussian_matrix, logistic, make_rng, save_matrix
+from .roi import RegionFeature
 from .tokens import TokenGrid
 
 
@@ -92,16 +92,19 @@ class ThresholdPolicy:
 
 @dataclass
 class RelevanceBundle:
-    """Full audit trail of one pruning decision."""
+    """Full audit trail of one pruning decision over N candidate tokens.
 
-    similarity: np.ndarray  # (M, Z)
-    probs: np.ndarray  # (M, Z), softmax of similarity rows
+    N is Z at the first stage and the live count at later ones.
+    """
+
+    similarity: np.ndarray  # (M, N)
+    probs: np.ndarray  # (M, N), softmax of similarity rows
     entropies: np.ndarray  # (M,), bits
     ranks: np.ndarray  # (M,), normalized ascending entropy ranks in [0, 1]
     weights: np.ndarray  # (M,), inverse rank weights in [0, 1]
-    weighted_similarity: np.ndarray  # (M, Z)
-    relevance: np.ndarray  # (Z,)
-    mask: np.ndarray  # (Z,), values in {0, 1}
+    weighted_similarity: np.ndarray  # (M, N)
+    relevance: np.ndarray  # (N,)
+    mask: np.ndarray  # (N,), values in {0, 1}
     tau_effective: float
 
 
@@ -109,9 +112,9 @@ class RelevanceBundle:
 class PrunedTokens:
     """Tokens after mask application.
 
-    zero mode keeps the full grid with dropped rows zeroed; compact mode
-    gathers the retained rows and remembers their grid coordinates for
-    scatter-back.
+    compact mode gathers the retained rows and remembers their grid
+    coordinates for scatter-back; zero mode is that result scattered
+    back onto the full grid, with zero rows at dropped positions.
     """
 
     mode: str
@@ -252,36 +255,6 @@ def scatter_tokens(pruned: PrunedTokens) -> np.ndarray:
     flat = pruned.retained_coords[:, 0] * pruned.grid_w + pruned.retained_coords[:, 1]
     out[flat] = pruned.tokens
     return out
-
-
-def prato_score(
-    grid: TokenGrid,
-    box: BoxPrompt,
-    proj: Projections,
-    k: int = 5,
-    policy: ThresholdPolicy = ThresholdPolicy("percentile", 25.0),
-    sampling_ratio: int = 2,
-) -> RelevanceBundle:
-    """Full scoring chain from box prompt to prune mask, with audit trail."""
-    gbox = map_box_to_grid(box, grid.grid_h, grid.grid_w)
-    region = roi_align(grid, gbox, k, sampling_ratio)
-    similarity = compute_similarity(region, grid, proj)
-    probs = softmax_rows(similarity)
-    entropies = np.array([compute_entropy(row) for row in probs])
-    ranks, weights = inverse_entropy_weights(entropies)
-    relevance = relevance_scores(similarity, weights)
-    mask, tau = build_mask(relevance, policy)
-    return RelevanceBundle(
-        similarity=similarity,
-        probs=probs,
-        entropies=entropies,
-        ranks=ranks,
-        weights=weights,
-        weighted_similarity=weights[:, None] * similarity,
-        relevance=relevance,
-        mask=mask,
-        tau_effective=tau,
-    )
 
 
 def save_bundle(bundle: RelevanceBundle, out_dir) -> str:

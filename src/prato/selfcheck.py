@@ -20,20 +20,6 @@ from .synth import generate_scene
 from .tokens import TokenGrid
 
 
-def check_matmul_oracle(rng) -> bool:
-    a = rng.normal(size=(5, 4))
-    b = rng.normal(size=(4, 3))
-    got = numerics.matmul(a, b)
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            acc = 0.0
-            for t in range(4):
-                acc += a[i, t] * b[t, j]
-            want[i, j] = acc
-    return np.abs(got - want).max() < 1e-12
-
-
 def check_softmax_rows(rng) -> bool:
     m = rng.normal(scale=500.0, size=(8, 16))
     s = numerics.softmax_rows(m)
@@ -86,11 +72,12 @@ def check_roi_align(rng) -> bool:
     if not np.all(out == 0.7):
         return False
     got = roi.roi_align(grid, GridBox(1.3, 2.1, 5.7, 6.2), k=5, sampling_ratio=2).data
-    want = _roi_oracle(fmap, (1.3, 2.1, 5.7, 6.2), 5, 2)
+    want = roi_oracle(fmap, (1.3, 2.1, 5.7, 6.2), 5, 2)
     return np.abs(got - want).max() < 1e-9
 
 
-def _roi_oracle(fmap, box, k, n):
+def roi_oracle(fmap, box, k, n):
+    """Brute-force region pooling of an (h, w, c) map: k x k bins, n x n samples per bin."""
     x1, y1, x2, y2 = box
     h, w, c = fmap.shape
     out = np.zeros((k * k, c))
@@ -102,12 +89,13 @@ def _roi_oracle(fmap, box, k, n):
                 for sx in range(n):
                     y = y1 + (by + (sy + 0.5) / n) * bh
                     x = x1 + (bx + (sx + 0.5) / n) * bw
-                    acc += _bilinear_point(fmap, y, x)
+                    acc += bilinear_oracle(fmap, y, x)
             out[by * k + bx] = acc / (n * n)
     return out
 
 
-def _bilinear_point(fmap, y, x):
+def bilinear_oracle(fmap, y, x):
+    """Bilinear sample of an (h, w, c) map at one point, clamped at the border."""
     h, w, _ = fmap.shape
     fy, fx = y - 0.5, x - 0.5
     y0, x0 = math.floor(fy), math.floor(fx)
@@ -191,7 +179,6 @@ def check_encoder_identity(rng) -> bool:
 
 
 CHECKS = [
-    ("matmul vs triple-loop oracle", check_matmul_oracle),
     ("softmax rows normalize", check_softmax_rows),
     ("entropy analytic values", check_entropy_analytic),
     ("rank weights form a uniform grid", check_rank_uniformity),

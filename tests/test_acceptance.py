@@ -30,6 +30,7 @@ from prato.prune import (
     retention_target,
 )
 from prato.roi import GridBox, map_box_to_grid, roi_align
+from prato.selfcheck import roi_oracle
 from prato.synth import SweepSpec, generate_scene, run_sweep
 from prato.tokens import TokenGrid
 
@@ -156,35 +157,6 @@ def test_criterion_05_entropy_oracle():
             worst < 1e-9 and exact, time.time() - t0, 1, f"max |diff| {worst:.2e}")
 
 
-def _oracle_bilinear(fmap, y, x):
-    h, w, _ = fmap.shape
-    fy, fx = y - 0.5, x - 0.5
-    y0, x0 = math.floor(fy), math.floor(fx)
-    wy = min(max(fy - y0, 0.0), 1.0)
-    wx = min(max(fx - x0, 0.0), 1.0)
-    cl = lambda v, hi: min(max(v, 0), hi)
-    return (fmap[cl(y0, h - 1), cl(x0, w - 1)] * (1 - wy) * (1 - wx)
-            + fmap[cl(y0, h - 1), cl(x0 + 1, w - 1)] * (1 - wy) * wx
-            + fmap[cl(y0 + 1, h - 1), cl(x0, w - 1)] * wy * (1 - wx)
-            + fmap[cl(y0 + 1, h - 1), cl(x0 + 1, w - 1)] * wy * wx)
-
-
-def _oracle_roi(fmap, box, k, n):
-    x1, y1, x2, y2 = box
-    out = np.zeros((k * k, fmap.shape[2]))
-    bw, bh = (x2 - x1) / k, (y2 - y1) / k
-    for by in range(k):
-        for bx in range(k):
-            acc = np.zeros(fmap.shape[2])
-            for sy in range(n):
-                for sx in range(n):
-                    acc += _oracle_bilinear(fmap,
-                                            y1 + (by + (sy + 0.5) / n) * bh,
-                                            x1 + (bx + (sx + 0.5) / n) * bw)
-            out[by * k + bx] = acc / (n * n)
-    return out
-
-
 def test_criterion_06_roi_align_oracle():
     t0 = time.time()
     rng = make_rng(606)
@@ -197,7 +169,7 @@ def test_criterion_06_roi_align_oracle():
         x2, y2 = rng.uniform(x1 + 0.2, w), rng.uniform(y1 + 0.2, h)
         k, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         got = roi_align(grid, GridBox(x1, y1, x2, y2), k, n).data
-        want = _oracle_roi(fmap, (x1, y1, x2, y2), k, n)
+        want = roi_oracle(fmap, (x1, y1, x2, y2), k, n)
         worst = max(worst, float(np.abs(got - want).max()))
     const_ok = True
     const = TokenGrid(tokens=np.full((49, 2), 1.25), grid_h=7, grid_w=7, patch_size=1)

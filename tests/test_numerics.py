@@ -15,47 +15,11 @@ from prato.numerics import (
     load_matrix_csv,
     logistic,
     make_rng,
-    matmul,
     save_matrix,
     save_matrix_csv,
     softmax_rows,
 )
 from prato.tokens import load_image, save_image
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = make_rng(0)
-        m = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_zero(self):
-        rng = make_rng(1)
-        m = rng.normal(size=(3, 5))
-        assert np.array_equal(matmul(np.zeros((4, 3)), m), np.zeros((4, 5)))
-
-    def test_triple_loop_oracle(self):
-        rng = make_rng(2)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        want = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                acc = 0.0
-                for t in range(4):
-                    acc += a[i, t] * b[t, j]
-                want[i, j] = acc
-        assert np.abs(matmul(a, b) - want).max() < 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-
-    def test_bit_identical_repeat(self):
-        rng = make_rng(3)
-        a = rng.normal(size=(20, 30))
-        b = rng.normal(size=(30, 10))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
 
 
 class TestSoftmaxRows:

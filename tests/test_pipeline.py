@@ -126,18 +126,25 @@ class TestRunPipeline:
             assert z == (size // 16) ** 2
             assert abs(report.token_sparsity - q / 100.0) <= 1.0 / z
 
-    def test_zero_compact_consistency_at_final_stage(self):
-        # with the stage after the last block no encoder runs on the masked
-        # set, so the two modes must agree exactly at retained positions
-        scene = generate_scene("ellipse", 64, seed=5)
-        base = dict(depth=2, stage_indices=(1,), seed=5,
-                    policy=ThresholdPolicy("percentile", 50.0))
-        compact, _, _ = run_pipeline(scene.image, scene.tight_box,
-                                     PipelineConfig(mask_mode="compact", **base))
-        zero, _, _ = run_pipeline(scene.image, scene.tight_box,
-                                  PipelineConfig(mask_mode="zero", **base))
-        assert np.array_equal(scatter_tokens(compact), zero.tokens)
-        assert np.array_equal(compact.retained_coords, zero.retained_coords)
+    @pytest.mark.parametrize("q", [25.0, 50.0])
+    @pytest.mark.parametrize("stages", [(0,), (1,), (0, 1), (0, 1, 2), (1, 3), (3,)])
+    def test_zero_is_scattered_compact(self, stages, q):
+        # zero mode is only an output layout: the same run, scattered onto the grid
+        scene = generate_scene("ellipse", 256, seed=3)
+        base = dict(depth=4, stage_indices=stages, seed=3,
+                    policy=ThresholdPolicy("percentile", q))
+        compact, bundles_c, report_c = run_pipeline(scene.image, scene.tight_box,
+                                                     PipelineConfig(mask_mode="compact", **base))
+        zero, bundles_z, report_z = run_pipeline(scene.image, scene.tight_box,
+                                                 PipelineConfig(mask_mode="zero", **base))
+        assert zero.mode == "zero"
+        assert np.array_equal(zero.tokens, scatter_tokens(compact))
+        assert np.array_equal(zero.retained_coords, compact.retained_coords)
+        assert report_z.to_dict() == report_c.to_dict()
+        assert len(bundles_z) == len(bundles_c) == len(stages)
+        for bz, bc in zip(bundles_z, bundles_c):
+            assert np.array_equal(bz.mask, bc.mask)
+            assert np.array_equal(bz.relevance, bc.relevance)
 
     def test_empty_retention_error_carries_stage(self):
         scene = generate_scene("ellipse", 64, seed=6)

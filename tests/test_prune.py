@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prato.errors import EmptyRetentionError, ShapeError, ValidationError
 from prato.numerics import make_rng, softmax_rows
+from prato.pipeline import prato_score
 from prato.prune import (
     Projections,
     ThresholdPolicy,
@@ -19,7 +20,6 @@ from prato.prune import (
     entropy_rows,
     inverse_entropy_weights,
     make_projections,
-    prato_score,
     relevance_scores,
     retention_target,
     save_bundle,

@@ -1,7 +1,5 @@
 """Region pooling tests against a scalar brute-force bilinear oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,42 +11,8 @@ from prato.errors import (
 )
 from prato.numerics import make_rng
 from prato.roi import BoxPrompt, GridBox, box_from_dict, load_box, map_box_to_grid, roi_align, save_box
+from prato.selfcheck import roi_oracle
 from prato.tokens import TokenGrid
-
-
-def oracle_bilinear(fmap, y, x):
-    """Independent point sampler: explicit neighbor math, border clamping."""
-    h, w, _ = fmap.shape
-    fy, fx = y - 0.5, x - 0.5
-    y0, x0 = math.floor(fy), math.floor(fx)
-    wy = min(max(fy - y0, 0.0), 1.0)
-    wx = min(max(fx - x0, 0.0), 1.0)
-    cl = lambda v, hi: min(max(v, 0), hi)
-    v00 = fmap[cl(y0, h - 1), cl(x0, w - 1)]
-    v01 = fmap[cl(y0, h - 1), cl(x0 + 1, w - 1)]
-    v10 = fmap[cl(y0 + 1, h - 1), cl(x0, w - 1)]
-    v11 = fmap[cl(y0 + 1, h - 1), cl(x0 + 1, w - 1)]
-    return (v00 * (1 - wy) * (1 - wx) + v01 * (1 - wy) * wx
-            + v10 * wy * (1 - wx) + v11 * wy * wx)
-
-
-def oracle_roi(fmap, box, k, n):
-    x1, y1, x2, y2 = box
-    c = fmap.shape[2]
-    out = np.zeros((k * k, c))
-    bw, bh = (x2 - x1) / k, (y2 - y1) / k
-    for by in range(k):
-        for bx in range(k):
-            acc = np.zeros(c)
-            for sy in range(n):
-                for sx in range(n):
-                    acc += oracle_bilinear(
-                        fmap,
-                        y1 + (by + (sy + 0.5) / n) * bh,
-                        x1 + (bx + (sx + 0.5) / n) * bw,
-                    )
-            out[by * k + bx] = acc / (n * n)
-    return out
 
 
 def _grid_from_map(fmap):
@@ -134,7 +98,7 @@ class TestRoiAlign:
     def test_specific_box_against_oracle(self):
         fmap = make_rng(1).random((8, 8, 4))
         got = roi_align(_grid_from_map(fmap), GridBox(1.3, 2.1, 5.7, 6.2), 5, 2)
-        want = oracle_roi(fmap, (1.3, 2.1, 5.7, 6.2), 5, 2)
+        want = roi_oracle(fmap, (1.3, 2.1, 5.7, 6.2), 5, 2)
         assert np.abs(got.data - want).max() < 1e-9
 
     def test_random_boxes_against_oracle(self):
@@ -148,7 +112,7 @@ class TestRoiAlign:
             k = int(rng.integers(1, 6))
             n = int(rng.integers(1, 4))
             got = roi_align(_grid_from_map(fmap), GridBox(x1, y1, x2, y2), k, n)
-            want = oracle_roi(fmap, (x1, y1, x2, y2), k, n)
+            want = roi_oracle(fmap, (x1, y1, x2, y2), k, n)
             assert np.abs(got.data - want).max() < 1e-9
 
     def test_translation_consistency(self):
