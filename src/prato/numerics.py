@@ -32,11 +32,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
+    """Row-wise softmax with per-row max subtraction, computed in one fresh array."""
     m = as_matrix(m, "m")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = m - m.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def layer_norm(m, gamma, beta, eps: float = 1e-6) -> np.ndarray:
@@ -53,8 +54,11 @@ def layer_norm(m, gamma, beta, eps: float = 1e-6) -> np.ndarray:
         raise ValidationError("eps must be positive")
     mean = m.mean(axis=1, keepdims=True)
     var = m.var(axis=1, keepdims=True)
-    normed = (m - mean) / np.sqrt(var + eps)
-    return normed * gamma + beta
+    out = m - mean
+    out /= np.sqrt(var + eps)
+    out *= gamma
+    out += beta
+    return out
 
 
 def logistic(x):

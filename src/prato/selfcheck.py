@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import numerics, prune, roi
+from . import encoder, numerics, prune, roi
 from .pipeline import PipelineConfig, block_flop_terms, estimate_flops, run_pipeline
 from .metrics import combo_loss, dsc_metric, iou_metric, loss_gradient
 from .prune import ThresholdPolicy, build_mask, inverse_entropy_weights, retention_target
@@ -171,11 +171,24 @@ def check_pipeline_determinism(rng) -> bool:
 
 
 def check_encoder_identity(rng) -> bool:
-    from .encoder import encode_tokens, zero_block_weights
-
     x = rng.normal(size=(12, 64))
-    w = zero_block_weights(64, 4)
-    return np.array_equal(encode_tokens(x, w), x)
+    w = encoder.zero_block_weights(64, 4)
+    return np.array_equal(encoder.encode_tokens(x, w), x)
+
+
+def check_attention_rows(rng) -> bool:
+    x = rng.normal(size=(encoder.QUERY_BLOCK + 45, 48))
+    w = encoder.init_block_weights(48, 3, seed=5)
+    want = attention_oracle(x, w)
+    return np.abs(encoder._attention(x, w) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def attention_oracle(x, w):
+    """Unblocked attention: softmax(q k^T * 1/sqrt(d_h)) v per head, concatenated, then wo."""
+    scale = 1.0 / np.sqrt(x.shape[1] // w.heads)
+    heads = [numerics.softmax_rows(x @ wq @ (x @ wk).T * scale) @ (x @ wv)
+             for wq, wk, wv in zip(w.wq, w.wk, w.wv)]
+    return np.concatenate(heads, axis=1) @ w.wo
 
 
 CHECKS = [
@@ -190,6 +203,7 @@ CHECKS = [
     ("loss gradient vs finite differences", check_gradient_fd),
     ("pipeline determinism", check_pipeline_determinism),
     ("zero-weight block is the identity", check_encoder_identity),
+    ("attention rows: blocked vs unblocked", check_attention_rows),
 ]
 
 

@@ -1,8 +1,11 @@
 """Encoder block tests: residual identity, equivariance, attention properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from prato import encoder
 from prato.encoder import (
     attention_map,
     encode_block,
@@ -12,8 +15,9 @@ from prato.encoder import (
     save_block_weights,
     zero_block_weights,
 )
-from prato.errors import ShapeError
+from prato.errors import ShapeError, ValidationError
 from prato.numerics import make_rng, softmax_rows
+from prato.selfcheck import attention_oracle
 from prato.tokens import TokenGrid
 
 
@@ -59,6 +63,53 @@ class TestEncodeBlock:
             encode_tokens(np.zeros((4, 8)), w)
 
 
+class TestBlockedAttention:
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    @pytest.mark.parametrize("width,heads", [(64, 4), (48, 3), (32, 8)])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 1000])
+    def test_matches_unblocked_oracle(self, monkeypatch, n, width, heads, residual):
+        x = make_rng(n).normal(size=(n, width))
+        w = init_block_weights(width, heads, seed=width + heads)
+        got = encode_tokens(x, w, residual=residual)
+        monkeypatch.setattr(encoder, "_attention", attention_oracle)
+        want = encode_tokens(x, w, residual=residual)
+        if n <= encoder.QUERY_BLOCK or n % encoder.QUERY_BLOCK == 0:
+            assert np.array_equal(got, want)
+        else:
+            # BLAS edge kernels for a short last block may move the last ulp
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_peak_memory_below_one_score_matrix(self):
+        n = 2048
+        x = make_rng(7).normal(size=(n, 64))
+        w = init_block_weights(64, 4, seed=7)
+        tracemalloc.start()
+        try:
+            encode_tokens(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
+class TestElementwiseHelpers:
+    @pytest.mark.parametrize("name", ["softmax_rows", "gelu", "layer_norm"])
+    def test_input_untouched_and_output_fresh(self, name):
+        x = make_rng(9).normal(size=(5, 6))
+        before = x.copy()
+        fn = getattr(encoder, name)
+        out = fn(x, np.full(6, 1.5), np.full(6, 0.25)) if name == "layer_norm" else fn(x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_softmax_rejects_non_finite(self, bad):
+        m = np.zeros((3, 4))
+        m[1, 2] = bad
+        with pytest.raises(ValidationError):
+            encoder.softmax_rows(m)
+
+
 class TestAttentionMap:
     def test_rows_are_distributions(self):
         x = make_rng(4).normal(size=(8, 32))
@@ -93,6 +144,21 @@ class TestAttentionMap:
                 logits[i, j] = float(qi @ kj) / np.sqrt(d_h)
         want = softmax_rows(logits)
         assert np.abs(got - want).max() < 1e-10
+
+    def test_equals_block_weights_bitwise(self, monkeypatch):
+        x = make_rng(8).normal(size=(20, 16))
+        w = init_block_weights(16, 2, seed=14)  # d_h = 8, whose sqrt is not a power of two
+        applied = []
+
+        def spy(m):
+            applied.append(softmax_rows(m))
+            return applied[-1]
+
+        monkeypatch.setattr(encoder, "softmax_rows", spy)
+        encode_tokens(x, w)
+        monkeypatch.undo()
+        for head in range(2):
+            assert np.array_equal(attention_map(_grid(x, 4, 5), w, head), applied[head])
 
     def test_head_out_of_range(self):
         w = init_block_weights(16, 2, seed=10)
