@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigurationError, PratoError
+from .numerics import open_new
 from .pipeline import PipelineConfig, config_from_dict, run_pipeline
 from .prune import ThresholdPolicy
 from .roi import load_box
@@ -78,7 +79,7 @@ def _cmd_synth(args) -> int:
     for i in range(args.count):
         scene = generate_scene(args.kind, args.size, seed=seed + i)
         manifest.append(save_scene(scene, args.out, i))
-    with open(os.path.join(args.out, "scenes.json"), "w") as f:
+    with open_new(os.path.join(args.out, "scenes.json")) as f:
         json.dump(manifest, f, indent=2)
     print(f"wrote {len(manifest)} scenes to {args.out}")
     return 0

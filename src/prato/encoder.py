@@ -28,7 +28,7 @@ from scipy.special import erf
 
 from .errors import ShapeError
 from .numerics import as_matrix, gaussian_matrix, layer_norm, make_rng, softmax_rows
-from .numerics import load_matrix, save_matrix
+from .numerics import load_matrix, open_new, save_matrix
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
@@ -219,7 +219,7 @@ def save_block_weights(w: BlockWeights, out_dir) -> None:
         _put(attr, getattr(w, attr))
     for attr in _PARAM_VECS:
         _put(attr, getattr(w, attr))
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+    with open_new(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 

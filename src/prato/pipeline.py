@@ -57,7 +57,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import softmax_rows
+from .numerics import open_new, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -104,12 +104,23 @@ class PipelineConfig:
         if self.stage_indices is None:
             self.stage_indices = ((self.depth - 1) // 2,)
         self.stage_indices = tuple(sorted(set(int(s) for s in self.stage_indices)))
-        if any(s < 0 or s >= self.depth for s in self.stage_indices):
+        if not self.stage_indices or any(s < 0 or s >= self.depth for s in self.stage_indices):
             raise ConfigurationError(
-                f"stage indices {self.stage_indices} must lie in [0, {self.depth})"
+                f"stage indices {self.stage_indices} must be a non-empty subset of "
+                f"[0, {self.depth})"
             )
-        if self.mask_mode not in ("zero", "compact"):
-            raise ConfigurationError(f"unknown mask mode {self.mask_mode!r}")
+        for name in ("patch_size", "embed_dim", "heads", "d_v", "roi_k", "sampling_ratio",
+                     "ln_eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.embed_dim % self.heads:
+            raise ConfigurationError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
+        choices = {"mask_mode": ("zero", "compact"), "residual": ("block", "sublayer"),
+                   "positional": ("sinusoidal", "learned", "none"), "proj_tied": (True, False)}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(f"{name} must be one of {allowed}, "
+                                         f"got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
@@ -132,19 +143,26 @@ class PipelineConfig:
         }
 
 
+# config-file keys and their parsers; tau_mode and tau_value make the policy
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
+                     "sampling_ratio", "seed"), int),
+    **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied"), lambda v: v),
+    "ln_eps": float,
+    "stage_indices": lambda v: tuple(int(s) for s in v),
+}
+
+
 def config_from_dict(d: dict) -> PipelineConfig:
-    policy = ThresholdPolicy(d.get("tau_mode", "percentile"), float(d.get("tau_value", 25.0)))
-    kwargs = {}
-    for name in ("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
-                 "sampling_ratio", "seed"):
-        if name in d:
-            kwargs[name] = int(d[name])
-    for name in ("mask_mode", "residual", "positional"):
-        if name in d:
-            kwargs[name] = str(d[name])
-    # leave stage_indices unset unless given, so the default tracks the depth
-    if "stage_indices" in d:
-        kwargs["stage_indices"] = tuple(int(s) for s in d["stage_indices"])
+    unknown = sorted(set(d) - set(_CONFIG_FIELDS) - {"tau_mode", "tau_value"})
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+    try:
+        policy = ThresholdPolicy(d.get("tau_mode", "percentile"), float(d.get("tau_value", 25.0)))
+        # stage_indices stays unset unless given, so the default tracks the depth
+        kwargs = {k: parse(d[k]) for k, parse in _CONFIG_FIELDS.items() if k in d}
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad config value: {exc}") from None
     return PipelineConfig(policy=policy, **kwargs)
 
 
@@ -465,7 +483,7 @@ def run_batch(images, boxes, cfg: PipelineConfig):
 
 def write_batch_csv(reports, path) -> None:
     """One CSV row per image, for plotting."""
-    with open(path, "w", newline="") as f:
+    with open_new(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["index", "Z", "retained", "token_sparsity",
                          "flops_full", "flops_pruned", "flops_reduction"])

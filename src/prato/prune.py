@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .numerics import as_matrix, gaussian_matrix, logistic, make_rng, save_matrix
+from .numerics import as_matrix, gaussian_matrix, logistic, make_rng, open_new, save_matrix
 from .roi import RegionFeature
 from .tokens import TokenGrid
 
@@ -279,6 +279,6 @@ def save_bundle(bundle: RelevanceBundle, out_dir) -> str:
         save_matrix(os.path.join(out_dir, fname), mat)
         record["matrices"][name] = fname
     path = os.path.join(out_dir, "bundle.json")
-    with open(path, "w") as f:
+    with open_new(path) as f:
         json.dump(record, f, indent=2, sort_keys=True)
     return path

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePromptError, RangeError, ValidationError
+from .numerics import open_new
 from .tokens import TokenGrid
 
 
@@ -55,7 +56,7 @@ def load_box(path) -> BoxPrompt:
 
 
 def save_box(path, box: BoxPrompt) -> None:
-    with open(path, "w") as f:
+    with open_new(path) as f:
         json.dump(box.to_dict(), f)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import make_rng
+from .numerics import make_rng, open_new
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -124,7 +124,8 @@ def save_scene(scene: Scene, out_dir, index: int) -> dict:
     truth_path = os.path.join(out_dir, stem + "_truth.csv")
     box_path = os.path.join(out_dir, stem + "_box.json")
     save_image(image_path, scene.image)
-    np.savetxt(truth_path, scene.truth, fmt="%d", delimiter=",")
+    with open_new(truth_path) as f:
+        np.savetxt(f, scene.truth, fmt="%d", delimiter=",")
     save_box(box_path, scene.tight_box)
     return {
         "index": index,
@@ -230,7 +231,6 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
         except Exception as exc:  # recorded in every cell of this seed
             prefix_error = f"{type(exc).__name__}: {exc}"
         for i, (policy, k, pert) in enumerate(cells):
-            cfg = replace(spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
             pert_rng = make_rng(scene_seed ^ 0x5EED)
             box = perturb_prompt(scene.tight_box, pert, pert_rng)
             row = {
@@ -244,7 +244,8 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
             }
             error = prefix_error
             if not error:
-                try:
+                try:  # a bad k fails here, in the cell's own config
+                    cfg = replace(spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
                     pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix)
                     in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
                     row.update({
@@ -268,7 +269,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", newline="") as f:
+    with open_new(csv_path, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -276,7 +277,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
 
     summary = _summarize(rows)
     summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w") as f:
+    with open_new(summary_path) as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     return summary
 

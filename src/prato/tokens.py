@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, gaussian_matrix, make_rng, read_container
+from .numerics import as_matrix, gaussian_matrix, make_rng, open_new, read_container
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -185,7 +185,7 @@ def save_image(path, img) -> None:
     """Binary image container: b"PRTI", u32 C, H, W, then per-channel f64 planes."""
     img = validate_image(img)
     c, h, w = img.shape
-    with open(path, "wb") as f:
+    with open_new(path, "wb") as f:
         f.write(IMAGE_MAGIC)
         f.write(struct.pack("<III", c, h, w))
         f.write(img.astype("<f8").tobytes(order="C"))

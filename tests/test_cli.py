@@ -114,6 +114,20 @@ class TestErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == "prato: error: PRATO_SEED must be >= 0, got -1\n"
 
+    def test_bad_patch_size_is_one_line(self, scene_files, capsys):
+        image, box = scene_files
+        rc = main(["prune", "--image", str(image), "--box", str(box), "--patch-size", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "prato: error: patch_size must be > 0, got 0\n"
+
+    def test_unknown_config_key_is_one_line(self, scene_files, tmp_path, capsys):
+        image, box = scene_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tau_vlaue": 30}))
+        rc = main(["prune", "--image", str(image), "--box", str(box), "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == "prato: error: unknown config keys: tau_vlaue\n"
+
     def test_negative_seed_flag_rejected(self, scene_files):
         image, box = scene_files
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,14 @@
 """Loss and metric tests: analytic values, summation oracles, distance oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prato
 from prato.errors import ShapeError, UndefinedMetricError, ValidationError
 from prato.metrics import (
     aggregate_report,
@@ -301,3 +305,14 @@ class TestReports:
         bad[0, 0, 0] = 0.6
         with pytest.raises(ValidationError):
             validate_prob_map(bad)
+
+
+def test_import_prato_does_not_load_scipy_spatial():
+    """hd95 imports cKDTree on first use, so no other path pays for scipy.spatial."""
+    src = os.path.dirname(os.path.dirname(prato.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, prato; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

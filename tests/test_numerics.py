@@ -1,7 +1,10 @@
 """Kernel tests: analytic cases, brute-force oracles, and properties."""
 
+import ast
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +18,13 @@ from prato.numerics import (
     load_matrix_csv,
     logistic,
     make_rng,
+    open_new,
     save_matrix,
     save_matrix_csv,
     softmax_rows,
 )
+from prato.pipeline import CostReport, write_batch_csv
+from prato.roi import BoxPrompt, load_box, save_box
 from prato.tokens import load_image, save_image
 
 
@@ -188,3 +194,101 @@ def test_malformed_containers_raise_only_validation_error(tmp_path_factory, load
         return
     header = len(valid) - 8 * value.size
     assert out.dtype == np.float64 and 8 * out.size == len(blob) - header
+
+
+class TestOpenNew:
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer old content\n" * 20)
+        with open_new(path) as f:
+            f.write("new")
+        assert path.read_bytes() == b"new"
+
+    def test_creates_missing_target(self, tmp_path):
+        path = tmp_path / "fresh.bin"
+        with open_new(path, "wb") as f:
+            f.write(b"\x00\x01")
+        assert path.read_bytes() == b"\x00\x01"
+
+    @pytest.mark.parametrize("make_link", [lambda link, target: link.symlink_to(target),
+                                           lambda link, target: os.link(target, link)],
+                             ids=["symlink", "hard link"])
+    def test_link_is_replaced_not_written_through(self, tmp_path, make_link):
+        target = tmp_path / "target.txt"
+        target.write_text("keep me")
+        link = tmp_path / "link.txt"
+        make_link(link, target)
+        with open_new(link) as f:
+            f.write("new")
+        assert not link.is_symlink() and link.read_text() == "new"
+        assert target.read_text() == "keep me"
+
+
+_REPORT = CostReport(tokens_full=16, tokens_retained=[8, 4], token_sparsity=0.75,
+                     flops_full=1000, flops_pruned=400, flops_reduction=0.6)
+
+# (writer, loader or None, a value, a larger value written first)
+_WRITERS = {
+    "matrix": (save_matrix, load_matrix, make_rng(3).normal(size=(3, 4)), np.ones((9, 9))),
+    "image": (save_image, load_image, np.full((1, 4, 4), 0.25), np.zeros((3, 8, 8))),
+    "box": (save_box, load_box, BoxPrompt(0.1, 0.2, 0.5, 0.75),
+            BoxPrompt(0.123456789, 0.223456789, 0.523456789, 0.723456789)),
+    "batch_csv": (lambda path, reports: write_batch_csv(reports, path), None, [_REPORT],
+                  [_REPORT] * 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writer_rewrites_round_trip_byte_identically(tmp_path, name):
+    save, load, value, bigger = _WRITERS[name]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    save(fresh, value)
+    save(reused, bigger)
+    for _ in range(2):
+        save(reused, value)
+        assert reused.read_bytes() == fresh.read_bytes()
+    if load is not None:
+        again = load(reused)
+        assert np.array_equal(again, value) if isinstance(value, np.ndarray) else again == value
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "prato"
+
+
+def _write_opens(tree) -> list:
+    """Line numbers of open() calls that may write, outside the body of ``open_new``."""
+    exempt = {id(n) for d in ast.walk(tree)
+              if isinstance(d, ast.FunctionDef) and d.name == "open_new" for n in ast.walk(d)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_write_guard_flags_writers_and_spares_readers():
+    flagged = _write_opens(ast.parse(
+        "def f(p, m):\n"
+        "    open(p, 'w'); open(p, mode='ab'); open(p, 'r+'); open(p, m); p.write_text('x')\n"
+        "    open(p); open(p, 'rb'); open(p, newline='')\n"
+        "def open_new(p, mode='w'):\n"
+        "    return open(p, mode)\n"))
+    assert flagged == [2] * 5
+
+
+def test_library_writes_go_through_open_new():
+    """Replace-by-truncate makes ext4 flush; every library writer must unlink first."""
+    files = sorted(_SRC.glob("*.py"))
+    assert files
+    offenders = [f"{path.name}:{line}" for path in files
+                 for line in _write_opens(ast.parse(path.read_text()))]
+    assert offenders == [], f"open a written file with numerics.open_new: {offenders}"

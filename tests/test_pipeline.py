@@ -254,6 +254,41 @@ class TestHelpers:
         with pytest.raises(ConfigurationError):
             PipelineConfig(seed=-1)
 
+    @pytest.mark.parametrize("bad", [
+        dict(patch_size=0), dict(embed_dim=0), dict(heads=0), dict(d_v=0), dict(roi_k=0),
+        dict(sampling_ratio=0), dict(heads=3), dict(stage_indices=()), dict(residual="fused"),
+        dict(positional="rotary"), dict(ln_eps=0.0), dict(ln_eps=-1e-6), dict(ln_eps=math.nan),
+        dict(proj_tied="false"),
+    ], ids=repr)
+    def test_config_rejects_bad_field(self, bad):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(**bad)
+
+    def test_config_from_dict_reads_every_prefix_key_field(self):
+        cfg = config_from_dict({"ln_eps": 1e-5, "proj_tied": False})
+        assert (cfg.ln_eps, cfg.proj_tied) == (1e-5, False)
+        assert config_from_dict({}) == PipelineConfig()
+
+    @pytest.mark.parametrize("d, match", [
+        ({"tau_vlaue": 30}, "tau_vlaue"),
+        ({"depth": 2, "zz": 1, "aa": 2}, "aa, zz"),
+        ({"depth": "four"}, "bad config value"),
+        ({"stage_indices": 1}, "bad config value"),
+        ({"proj_tied": "false"}, "proj_tied"),
+        ({"heads": 0}, "heads"),
+    ])
+    def test_config_from_dict_rejects(self, d, match):
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict(d)
+
+    def test_config_to_dict_keys_unchanged(self):
+        # the benchmark's goldens store these keys
+        assert list(PipelineConfig().to_dict()) == [
+            "depth", "stage_indices", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
+            "tau_mode", "tau_value", "mask_mode", "sampling_ratio", "seed", "residual",
+            "positional",
+        ]
+
     def test_default_stage_is_middle_block(self):
         assert PipelineConfig(depth=4).stage_indices == (1,)
         assert PipelineConfig(depth=1).stage_indices == (0,)

@@ -214,6 +214,15 @@ class TestRunSweep:
         content = (tmp_path / "sweep.csv").read_text()
         assert "ConfigurationError" in content
 
+    def test_bad_k_is_an_error_row(self, tmp_path):
+        spec = _small_spec(k_values=[0, 3], seeds=2)
+        summary = run_sweep(spec, tmp_path)
+        assert summary["total_rows"] == 4 and summary["failed_rows"] == 2
+        with open(tmp_path / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["k"] for r in rows if r["error"]] == ["0", "0"]
+        assert all(r["error"].startswith("ConfigurationError: roi_k") for r in rows if r["error"])
+
     def test_spec_from_dict(self):
         spec = sweep_spec_from_dict({
             "policies": [{"mode": "percentile", "value": 50}],
