@@ -7,8 +7,8 @@ attention map.
 
 import numpy as np
 
-from prato import encode_block, init_block_weights, make_embedder, patchify, tokenize_image
-from prato.encoder import attention_map, zero_block_weights
+from prato import encode_tokens, init_block_weights, make_embedder, patchify, tokenize_image
+from prato.encoder import attention_map
 from prato.synth import generate_scene
 
 scene = generate_scene("ellipse", size=64, seed=1)
@@ -25,12 +25,12 @@ print(f"tokens: {grid.tokens.shape}, grid {grid.grid_h}x{grid.grid_w}")
 print(f"first token coordinates: {grid.token_index_map[:5].tolist()} ...")
 
 # a zero-weight block is the identity (the residual path carries everything)
-identity = encode_block(grid, zero_block_weights(64, 4))
-print(f"zero-weight block changes nothing: {np.array_equal(identity.tokens, grid.tokens)}")
+identity = encode_tokens(grid.tokens, init_block_weights(64, 4, std=0.0))
+print(f"zero-weight block changes nothing: {np.array_equal(identity, grid.tokens)}")
 
 weights = init_block_weights(width=64, heads=4, seed=2)
-encoded = encode_block(grid, weights)
-delta = np.abs(encoded.tokens - grid.tokens).mean()
+encoded = encode_tokens(grid.tokens, weights)
+delta = np.abs(encoded - grid.tokens).mean()
 print(f"random block perturbs tokens by {delta:.3f} on average (residual dominates)")
 
 attn = attention_map(grid, weights, head=0)

@@ -73,6 +73,8 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
     env_seed = _env_seed()
     seed = args.seed if env_seed is None else env_seed
     manifest = []

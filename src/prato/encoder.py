@@ -19,8 +19,6 @@ at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +26,6 @@ from scipy.special import erf
 
 from .errors import ShapeError
 from .numerics import as_matrix, gaussian_matrix, layer_norm, make_rng, softmax_rows
-from .numerics import load_matrix, open_new, save_matrix
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
@@ -117,19 +114,6 @@ def init_block_weights(width: int, heads: int, seed: int = 0, std: float = 0.02)
     )
 
 
-def zero_block_weights(width: int, heads: int) -> BlockWeights:
-    d_h = width // heads
-    z = lambda r, c: np.zeros((r, c))
-    return BlockWeights(
-        wq=[z(width, d_h) for _ in range(heads)],
-        wk=[z(width, d_h) for _ in range(heads)],
-        wv=[z(width, d_h) for _ in range(heads)],
-        wo=z(width, width),
-        ffn_in=z(width, 4 * width),
-        ffn_out=z(4 * width, width),
-    )
-
-
 def _scores(q: np.ndarray, kt: np.ndarray) -> np.ndarray:
     """Attention logits of one head: q k^T scaled by 1/sqrt(d_h)."""
     s = q @ kt
@@ -172,66 +156,9 @@ def encode_tokens(
     raise ShapeError(f"unknown residual mode {residual!r}")
 
 
-def encode_block(
-    grid: TokenGrid,
-    w: BlockWeights,
-    residual: str = "block",
-    ln_eps: float = 1e-6,
-) -> TokenGrid:
-    """Encoder block over a TokenGrid; grid geometry is untouched."""
-    out = encode_tokens(grid.tokens, w, residual=residual, ln_eps=ln_eps)
-    return TokenGrid(
-        tokens=out,
-        grid_h=grid.grid_h,
-        grid_w=grid.grid_w,
-        patch_size=grid.patch_size,
-        token_index_map=grid.token_index_map,
-    )
-
-
 def attention_map(grid: TokenGrid, w: BlockWeights, head: int, ln_eps: float = 1e-6) -> np.ndarray:
     """Row-stochastic (Z, Z) attention matrix of one head, for inspection."""
     if not 0 <= head < w.heads:
         raise IndexError(f"head {head} out of range for {w.heads} heads")
     x = layer_norm(grid.tokens, w.ln1_gamma, w.ln1_beta, ln_eps)
     return softmax_rows(_scores(x @ w.wq[head], (x @ w.wk[head]).T))
-
-
-_PARAM_LISTS = ("wq", "wk", "wv")
-_PARAM_MATS = ("wo", "ffn_in", "ffn_out")
-_PARAM_VECS = ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-
-
-def save_block_weights(w: BlockWeights, out_dir) -> None:
-    """One binary matrix file per parameter plus a manifest of names and shapes."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {"heads": w.heads, "width": w.width, "params": {}}
-
-    def _put(name, mat):
-        mat = np.atleast_2d(mat)
-        save_matrix(os.path.join(out_dir, name + ".prtm"), mat)
-        manifest["params"][name] = list(mat.shape)
-
-    for attr in _PARAM_LISTS:
-        for h, mat in enumerate(getattr(w, attr)):
-            _put(f"{attr}{h}", mat)
-    for attr in _PARAM_MATS:
-        _put(attr, getattr(w, attr))
-    for attr in _PARAM_VECS:
-        _put(attr, getattr(w, attr))
-    with open_new(os.path.join(out_dir, "manifest.json")) as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-
-
-def load_block_weights(in_dir) -> BlockWeights:
-    with open(os.path.join(in_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    heads = manifest["heads"]
-
-    def _get(name):
-        return load_matrix(os.path.join(in_dir, name + ".prtm"))
-
-    kwargs = {attr: [_get(f"{attr}{h}") for h in range(heads)] for attr in _PARAM_LISTS}
-    kwargs.update({attr: _get(attr) for attr in _PARAM_MATS})
-    kwargs.update({attr: _get(attr).ravel() for attr in _PARAM_VECS})
-    return BlockWeights(**kwargs)

@@ -17,20 +17,9 @@ from .errors import ShapeError, UndefinedMetricError, ValidationError
 PRED_FLOOR = 1e-12
 
 
-def validate_prob_map(pred) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim != 3:
-        raise ShapeError(f"probability map must be (H, W, N), got {pred.shape}")
-    sums = pred.sum(axis=2)
-    if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(pred < 0):
-        raise ValidationError("per-pixel probabilities must be nonnegative and sum to 1 within 1e-9")
-    return pred
-
-
 def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     # Loss functions tolerate slightly off-simplex inputs so finite-difference
-    # probes of single entries remain evaluable; strict simplex membership is
-    # the ingestion check (validate_prob_map), not a loss precondition.
+    # probes of single entries remain evaluable.
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 3:
         raise ShapeError(f"prediction must be (H, W, N), got {pred.shape}")

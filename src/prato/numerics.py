@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 
-MATRIX_MAGIC = b"PRTM"
-CSV_MAX_ENTRIES = 10_000
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a C-contiguous 2-D float64 array, validating finiteness."""
     m = np.ascontiguousarray(a, dtype=np.float64)
@@ -98,19 +94,6 @@ def open_new(path, mode: str = "w", **kw):
     return open(path, mode, **kw)
 
 
-def save_matrix(path, m) -> None:
-    """Write a matrix in the binary container: b"PRTM", u32 rows, u32 cols, f64 data.
-
-    All integers and floats are little-endian; data is row-major.
-    """
-    m = as_matrix(m, "m")
-    rows, cols = m.shape
-    with open_new(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<II", rows, cols))
-        f.write(m.astype("<f8").tobytes(order="C"))
-
-
 def read_container(path, magic: bytes, n_dims: int) -> tuple[tuple, np.ndarray]:
     """Read a binary container: ``magic``, ``n_dims`` u32 sizes, then their product of f64.
 
@@ -137,25 +120,12 @@ def read_container(path, magic: bytes, n_dims: int) -> tuple[tuple, np.ndarray]:
     return dims, data
 
 
-def load_matrix(path) -> np.ndarray:
-    (rows, cols), data = read_container(path, MATRIX_MAGIC, 2)
-    return data.reshape(rows, cols).astype(np.float64)
-
-
-def save_matrix_csv(path, m) -> None:
-    """CSV export; limited to small matrices (<= 10^4 entries)."""
-    m = as_matrix(m, "m")
-    if m.size > CSV_MAX_ENTRIES:
-        raise ValidationError(f"matrix has {m.size} entries; CSV export is capped at {CSV_MAX_ENTRIES}")
-    with open_new(path, newline="") as f:
-        writer = csv.writer(f)
-        for row in m:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def load_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f) if row]
+        try:
+            rows = [[float(v) for v in row] for row in csv.reader(f) if row]
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: empty CSV")
     width = len(rows[0])

@@ -37,7 +37,6 @@ Per block over n tokens of width C:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +56,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import open_new, softmax_rows
+from .numerics import softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -154,6 +153,8 @@ _CONFIG_FIELDS = {
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(_CONFIG_FIELDS) - {"tau_mode", "tau_value"})
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
@@ -479,17 +480,3 @@ def run_batch(images, boxes, cfg: PipelineConfig):
         sub = replace(cfg, seed=cfg.seed ^ i)
         results.append(run_pipeline(img, box, sub))
     return results
-
-
-def write_batch_csv(reports, path) -> None:
-    """One CSV row per image, for plotting."""
-    with open_new(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "Z", "retained", "token_sparsity",
-                         "flops_full", "flops_pruned", "flops_reduction"])
-        for i, rep in enumerate(reports):
-            writer.writerow([
-                i, rep.tokens_full, ";".join(str(n) for n in rep.tokens_retained),
-                repr(rep.token_sparsity), rep.flops_full, rep.flops_pruned,
-                repr(rep.flops_reduction),
-            ])

@@ -18,20 +18,13 @@ rationals and within one ulp in float64.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EmptyRetentionError,
-    ShapeError,
-    ValidationError,
-)
-from .numerics import as_matrix, gaussian_matrix, logistic, make_rng, open_new, save_matrix
+from .errors import ConfigurationError, ShapeError, ValidationError
+from .numerics import as_matrix, gaussian_matrix, logistic, make_rng
 from .roi import RegionFeature
 from .tokens import TokenGrid
 
@@ -142,20 +135,6 @@ def compute_similarity(region, grid, proj: Projections) -> np.ndarray:
     return (v1 @ v2.T) / math.sqrt(proj.d_v)
 
 
-def compute_entropy(probs) -> float:
-    """Shannon entropy in bits of one probability row; 0*log(0) counts as 0."""
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise ValidationError("empty probability vector")
-    if np.any(p < 0):
-        raise ValidationError("probabilities must be nonnegative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1 within 1e-9")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row of a row-stochastic matrix."""
     p = as_matrix(probs, "probs")
@@ -227,25 +206,6 @@ def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
     return mask, tau
 
 
-def apply_mask(grid: TokenGrid, mask, mode: str = "compact") -> PrunedTokens:
-    """Apply a keep mask: zero out dropped rows, or gather the kept ones."""
-    m = np.asarray(mask).ravel()
-    if m.size != grid.z:
-        raise ShapeError(f"mask length {m.size} does not match {grid.z} tokens")
-    keep = m.astype(bool)
-    coords = grid.token_index_map[keep]
-    if mode == "zero":
-        out = grid.tokens * keep[:, None]
-        return PrunedTokens(mode="zero", tokens=out, retained_coords=coords,
-                            grid_h=grid.grid_h, grid_w=grid.grid_w)
-    if mode == "compact":
-        if not keep.any():
-            raise EmptyRetentionError("mask retained zero tokens; nothing to compact")
-        return PrunedTokens(mode="compact", tokens=grid.tokens[keep],
-                            retained_coords=coords, grid_h=grid.grid_h, grid_w=grid.grid_w)
-    raise ConfigurationError(f"unknown mask mode {mode!r}")
-
-
 def scatter_tokens(pruned: PrunedTokens) -> np.ndarray:
     """Replace tokens on the full grid, zeros at dropped positions."""
     if pruned.mode == "zero":
@@ -255,30 +215,3 @@ def scatter_tokens(pruned: PrunedTokens) -> np.ndarray:
     flat = pruned.retained_coords[:, 0] * pruned.grid_w + pruned.retained_coords[:, 1]
     out[flat] = pruned.tokens
     return out
-
-
-def save_bundle(bundle: RelevanceBundle, out_dir) -> str:
-    """Audit dump: vectors inline in JSON, matrices as binary matrix files."""
-    os.makedirs(out_dir, exist_ok=True)
-    mats = {
-        "similarity": bundle.similarity,
-        "probs": bundle.probs,
-        "weighted_similarity": bundle.weighted_similarity,
-    }
-    record = {
-        "entropies": bundle.entropies.tolist(),
-        "ranks": bundle.ranks.tolist(),
-        "weights": bundle.weights.tolist(),
-        "relevance": bundle.relevance.tolist(),
-        "mask": bundle.mask.astype(int).tolist(),
-        "tau_effective": bundle.tau_effective,
-        "matrices": {},
-    }
-    for name, mat in mats.items():
-        fname = name + ".prtm"
-        save_matrix(os.path.join(out_dir, fname), mat)
-        record["matrices"][name] = fname
-    path = os.path.join(out_dir, "bundle.json")
-    with open_new(path) as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-    return path

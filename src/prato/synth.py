@@ -34,6 +34,8 @@ from .tokens import save_image
 
 TARGET_KINDS = ("ellipse", "rectangle", "blob")
 AREA_BOUNDS = (0.02, 0.4)
+# below 15 px the widest blob draw leaves no room for its margin; one 4096^2 plane is 128 MiB
+SCENE_SIZE_MIN, SCENE_SIZE_MAX = 16, 4096
 
 
 @dataclass
@@ -106,8 +108,10 @@ def generate_scene(kind: str, size: int, seed: int, channels: int = 1) -> Scene:
     """Deterministic textured scene with one bright target and its tight box."""
     if kind not in TARGET_KINDS:
         raise ConfigurationError(f"unknown target kind {kind!r}")
-    rng = make_rng(seed)
     h = w = int(size)
+    if not SCENE_SIZE_MIN <= h <= SCENE_SIZE_MAX:
+        raise ConfigurationError(f"scene size {h} must lie in [{SCENE_SIZE_MIN}, {SCENE_SIZE_MAX}]")
+    rng = make_rng(seed)
     truth = _target_mask(kind, h, w, rng).astype(np.int64)
     background = 0.05 + 0.3 * rng.random((channels, h, w))
     foreground = 0.75 + 0.2 * rng.random((channels, h, w))
@@ -157,23 +161,34 @@ class SweepSpec:
             raise ConfigurationError(f"base seed must be >= 0, got {self.base_seed}")
 
 
+_SPEC_REQUIRED = ("policies", "k_values", "perturbations", "seeds")
+_SPEC_OPTIONAL = ("size", "target_kind", "base_seed", "pipeline")
+
+
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    policies = [ThresholdPolicy(p["mode"], float(p["value"])) for p in d["policies"]]
-    perts = [
-        PromptPerturbation(p["kind"], float(p.get("magnitude", _default_magnitude(p["kind"]))))
-        for p in d["perturbations"]
-    ]
-    pipeline = config_from_dict(d.get("pipeline", {}))
-    return SweepSpec(
-        policies=policies,
-        k_values=[int(k) for k in d["k_values"]],
-        perturbations=perts,
-        seeds=int(d["seeds"]),
-        size=int(d.get("size", 128)),
-        target_kind=str(d.get("target_kind", "ellipse")),
-        base_seed=int(d.get("base_seed", 0)),
-        pipeline=pipeline,
-    )
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"sweep spec must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in _SPEC_REQUIRED if k not in d]
+    if missing:
+        raise ConfigurationError(f"sweep spec is missing keys: {', '.join(missing)}")
+    unknown = sorted(set(d) - set(_SPEC_REQUIRED) - set(_SPEC_OPTIONAL))
+    if unknown:
+        raise ConfigurationError(f"unknown sweep spec keys: {', '.join(unknown)}")
+    try:
+        policies = [ThresholdPolicy(p["mode"], float(p["value"])) for p in d["policies"]]
+        perts = [
+            PromptPerturbation(p["kind"], float(p.get("magnitude", _default_magnitude(p["kind"]))))
+            for p in d["perturbations"]
+        ]
+        scalars = dict(k_values=[int(k) for k in d["k_values"]], seeds=int(d["seeds"]),
+                       size=int(d.get("size", 128)), base_seed=int(d.get("base_seed", 0)),
+                       target_kind=str(d.get("target_kind", "ellipse")))
+    except KeyError as exc:
+        raise ConfigurationError(f"sweep spec record is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad sweep spec value: {exc}") from None
+    return SweepSpec(policies=policies, perturbations=perts,
+                     pipeline=config_from_dict(d.get("pipeline", {})), **scalars)
 
 
 def _default_magnitude(kind: str) -> float:

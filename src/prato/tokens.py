@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, gaussian_matrix, make_rng, open_new, read_container
+from .numerics import as_matrix, gaussian_matrix, load_matrix_csv, make_rng, open_new
+from .numerics import read_container
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -108,19 +109,6 @@ def patchify(img, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(blocks.reshape(gh * gw, c * p * p))
 
 
-def unpatchify(patches, channels: int, patch_size: int, grid_h: int, grid_w: int) -> np.ndarray:
-    """Inverse of :func:`patchify`; reassembles the (C, H, W) image."""
-    patches = as_matrix(patches, "patches")
-    p = int(patch_size)
-    if patches.shape != (grid_h * grid_w, channels * p * p):
-        raise ShapeError(
-            f"patches shape {patches.shape} does not match "
-            f"({grid_h * grid_w}, {channels * p * p})"
-        )
-    blocks = patches.reshape(grid_h, grid_w, channels, p, p).transpose(2, 0, 3, 1, 4)
-    return np.ascontiguousarray(blocks.reshape(channels, grid_h * p, grid_w * p))
-
-
 def sinusoidal_positions(z: int, width: int) -> np.ndarray:
     """Fixed sin/cos positional table over the flattened token index."""
     pos = np.arange(z, dtype=np.float64)[:, None]
@@ -198,7 +186,4 @@ def load_image(path) -> np.ndarray:
 
 def load_plane_csv(path) -> np.ndarray:
     """Read one channel plane from CSV and wrap it as a (1, H, W) image."""
-    from .numerics import load_matrix_csv
-
-    plane = load_matrix_csv(path)
-    return plane[None, :, :]
+    return load_matrix_csv(path)[None, :, :]

@@ -128,6 +128,28 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err == "prato: error: unknown config keys: tau_vlaue\n"
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["synth", "--size", "0", "--count", "1"], None),
+        (["synth", "--size", "100000", "--count", "1"], None),
+        (["synth", "--count", "0"], None),
+        (["sweep"], {"k_values": None}),
+        (["sweep"], {"sizee": 64}),
+        (["sweep"], {"policies": [{"value": 25}]}),
+    ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
+            "spec-unknown-key", "spec-policy-without-mode"])
+    def test_bad_input_is_one_line(self, tmp_path, capsys, argv, spec):
+        if spec is not None:
+            full = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
+                    "perturbations": [{"kind": "tight"}], "seeds": 1, "size": 64, **spec}
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({k: v for k, v in full.items() if v is not None}))
+            argv = argv + ["--spec", str(path)]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("prato: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_negative_seed_flag_rejected(self, scene_files):
         image, box = scene_files
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,6 @@ from prato.metrics import (
     iou_metric,
     loss_gradient,
     metrics_report,
-    validate_prob_map,
 )
 from prato.numerics import make_rng
 
@@ -297,14 +296,6 @@ class TestReports:
         assert rows[1]["hd95"] is None
         agg = aggregate_report(rows)
         assert agg["mhd95"] == 0.0  # only class 0 contributes
-
-    def test_validate_prob_map_strict(self):
-        good = np.full((3, 3, 2), 0.5)
-        validate_prob_map(good)
-        bad = good.copy()
-        bad[0, 0, 0] = 0.6
-        with pytest.raises(ValidationError):
-            validate_prob_map(bad)
 
 
 def test_import_prato_does_not_load_scipy_spatial():

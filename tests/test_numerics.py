@@ -14,18 +14,15 @@ from hypothesis import strategies as st
 from prato.errors import ShapeError, ValidationError
 from prato.numerics import (
     layer_norm,
-    load_matrix,
     load_matrix_csv,
     logistic,
     make_rng,
     open_new,
-    save_matrix,
-    save_matrix_csv,
+    read_container,
     softmax_rows,
 )
-from prato.pipeline import CostReport, write_batch_csv
 from prato.roi import BoxPrompt, load_box, save_box
-from prato.tokens import load_image, save_image
+from prato.tokens import IMAGE_MAGIC, load_image, save_image
 
 
 class TestSoftmaxRows:
@@ -118,61 +115,63 @@ class TestRng:
 
 
 class TestMatrixIO:
+    """The binary container reader, through the image container that uses it, and CSV import."""
+
     def test_binary_roundtrip(self, tmp_path):
-        rng = make_rng(6)
-        m = rng.normal(size=(7, 5))
-        path = tmp_path / "m.prtm"
-        save_matrix(path, m)
-        assert np.array_equal(load_matrix(path), m)
+        img = make_rng(6).random((2, 7, 5))
+        path = tmp_path / "m.prti"
+        save_image(path, img)
+        dims, data = read_container(path, IMAGE_MAGIC, 3)
+        assert dims == (2, 7, 5)
+        assert np.array_equal(data, img.ravel())
 
     def test_binary_header(self, tmp_path):
-        path = tmp_path / "m.prtm"
-        save_matrix(path, np.zeros((2, 3)))
+        path = tmp_path / "m.prti"
+        save_image(path, np.zeros((1, 2, 3)))
         blob = path.read_bytes()
-        assert blob[:4] == b"PRTM"
-        assert int.from_bytes(blob[4:8], "little") == 2
-        assert int.from_bytes(blob[8:12], "little") == 3
-        assert len(blob) == 12 + 6 * 8
+        assert blob[:4] == b"PRTI"
+        assert struct.unpack("<III", blob[4:16]) == (1, 2, 3)
+        assert len(blob) == 16 + 6 * 8
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.prtm"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
+        path = tmp_path / "bad.prti"
+        path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ValidationError):
-            load_matrix(path)
+            load_image(path)
 
     def test_truncated_header(self, tmp_path):
-        path = tmp_path / "short.prtm"
-        path.write_bytes(b"PRTM" + struct.pack("<I", 2) + b"\x03")
+        path = tmp_path / "short.prti"
+        path.write_bytes(b"PRTI" + struct.pack("<II", 1, 2) + b"\x03")
         with pytest.raises(ValidationError, match="truncated header"):
-            load_matrix(path)
+            load_image(path)
 
     def test_declared_size_checked_before_payload(self, tmp_path):
-        path = tmp_path / "huge.prtm"
-        path.write_bytes(b"PRTM" + struct.pack("<II", 2**31, 2**31) + b"\x00" * 16)
+        path = tmp_path / "huge.prti"
+        path.write_bytes(b"PRTI" + struct.pack("<III", 1, 2**31, 2**31) + b"\x00" * 16)
         with pytest.raises(ValidationError, match="payload bytes"):
-            load_matrix(path)
+            load_image(path)
 
     def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "long.prtm"
-        save_matrix(path, np.zeros((2, 3)))
+        path = tmp_path / "long.prti"
+        save_image(path, np.zeros((1, 2, 3)))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValidationError):
-            load_matrix(path)
+            load_image(path)
 
     def test_csv_roundtrip(self, tmp_path):
-        rng = make_rng(7)
-        m = rng.normal(size=(9, 11))
+        m = make_rng(7).normal(size=(9, 11))
         path = tmp_path / "m.csv"
-        save_matrix_csv(path, m)
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in m))
         assert np.array_equal(load_matrix_csv(path), m)
 
-    def test_csv_cap(self, tmp_path):
-        with pytest.raises(ValidationError):
-            save_matrix_csv(tmp_path / "big.csv", np.zeros((101, 101)))
+    def test_csv_non_numeric_is_validation_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.1,abc\n0.2,0.3\n")
+        with pytest.raises(ValidationError, match="abc"):
+            load_matrix_csv(path)
 
 
-_LOADERS = [(load_matrix, save_matrix, np.zeros((2, 3))),
-            (load_image, save_image, np.full((2, 3, 2), 0.5))]
+_LOADERS = [(load_image, save_image, np.full((2, 3, 2), 0.5))]
 
 
 @pytest.mark.parametrize("load, save, value", _LOADERS)
@@ -224,17 +223,11 @@ class TestOpenNew:
         assert target.read_text() == "keep me"
 
 
-_REPORT = CostReport(tokens_full=16, tokens_retained=[8, 4], token_sparsity=0.75,
-                     flops_full=1000, flops_pruned=400, flops_reduction=0.6)
-
 # (writer, loader or None, a value, a larger value written first)
 _WRITERS = {
-    "matrix": (save_matrix, load_matrix, make_rng(3).normal(size=(3, 4)), np.ones((9, 9))),
     "image": (save_image, load_image, np.full((1, 4, 4), 0.25), np.zeros((3, 8, 8))),
     "box": (save_box, load_box, BoxPrompt(0.1, 0.2, 0.5, 0.75),
             BoxPrompt(0.123456789, 0.223456789, 0.523456789, 0.723456789)),
-    "batch_csv": (lambda path, reports: write_batch_csv(reports, path), None, [_REPORT],
-                  [_REPORT] * 9),
 }
 
 

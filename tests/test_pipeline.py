@@ -21,11 +21,11 @@ from prato.pipeline import (
     run_batch,
     run_pipeline,
     token_in_box_mask,
-    write_batch_csv,
 )
 from prato.prune import ThresholdPolicy, scatter_tokens
 from prato.roi import BoxPrompt, GridBox
 from prato.synth import generate_scene
+from prato.tokens import load_plane_csv
 
 
 class TestFlopsModel:
@@ -276,6 +276,7 @@ class TestHelpers:
         ({"stage_indices": 1}, "bad config value"),
         ({"proj_tied": "false"}, "proj_tied"),
         ({"heads": 0}, "heads"),
+        ([{"depth": 2}], "config must be a JSON object, got list"),
     ])
     def test_config_from_dict_rejects(self, d, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -302,13 +303,18 @@ class TestHelpers:
     def test_run_batch_and_csv(self, tmp_path):
         scenes = [generate_scene("ellipse", 64, seed=s) for s in range(3)]
         cfg = PipelineConfig(depth=2, seed=5)
-        results = run_batch([s.image for s in scenes], [s.tight_box for s in scenes], cfg)
+        boxes = [s.tight_box for s in scenes]
+        results = run_batch([s.image for s in scenes], boxes, cfg)
         assert len(results) == 3
-        path = tmp_path / "batch.csv"
-        write_batch_csv([r[2] for r in results], path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("index,Z,retained")
+        for i, (scene, (pruned, _, report)) in enumerate(zip(scenes, results)):
+            alone = run_pipeline(scene.image, scene.tight_box, replace(cfg, seed=5 ^ i))
+            assert np.array_equal(pruned.tokens, alone[0].tokens) and report == alone[2]
+        # CSV planes written with 17 significant digits load back to the same batch
+        paths = [tmp_path / f"plane{i}.csv" for i in range(3)]
+        for path, scene in zip(paths, scenes):
+            np.savetxt(path, scene.image[0], fmt="%.17g", delimiter=",")
+        from_csv = run_batch([load_plane_csv(p) for p in paths], boxes, cfg)
+        assert [r[2] for r in from_csv] == [r[2] for r in results]
 
 
 def _assert_same_run(a, b):

@@ -9,23 +9,22 @@ from hypothesis import strategies as st
 
 from prato.errors import EmptyRetentionError, ShapeError, ValidationError
 from prato.numerics import make_rng, softmax_rows
-from prato.pipeline import prato_score
+from prato.pipeline import PipelineConfig, encode_prefix, prato_score, run_pipeline
 from prato.prune import (
     Projections,
+    PrunedTokens,
     ThresholdPolicy,
-    apply_mask,
     build_mask,
-    compute_entropy,
     compute_similarity,
     entropy_rows,
     inverse_entropy_weights,
     make_projections,
     relevance_scores,
     retention_target,
-    save_bundle,
     scatter_tokens,
 )
 from prato.roi import BoxPrompt
+from prato.selfcheck import entropy_oracle
 from prato.tokens import TokenGrid, make_embedder, tokenize_image
 
 
@@ -68,29 +67,23 @@ class TestComputeSimilarity:
 
 
 class TestComputeEntropy:
+    """``entropy_rows``, the entropy the pipeline runs, against analytic values and the oracle."""
+
     def test_uniform(self):
-        assert compute_entropy(np.full(16, 1 / 16)) == 4.0
+        assert entropy_rows([np.full(16, 1 / 16)])[0] == 4.0
 
     def test_one_hot(self):
-        assert compute_entropy([0.0, 0.0, 1.0, 0.0]) == 0.0
+        assert entropy_rows([[0.0, 0.0, 1.0, 0.0]])[0] == 0.0
 
     def test_analytic(self):
-        assert abs(compute_entropy([0.5, 0.25, 0.25]) - 1.5) < 1e-15
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            compute_entropy([0.5, 0.6])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            compute_entropy([1.1, -0.1])
+        assert abs(entropy_rows([[0.5, 0.25, 0.25]])[0] - 1.5) < 1e-15
 
     def test_rows_helper_matches(self):
         rng = make_rng(5)
         probs = softmax_rows(rng.normal(size=(6, 12)))
         rows = entropy_rows(probs)
         for i in range(6):
-            assert abs(rows[i] - compute_entropy(probs[i])) < 1e-12
+            assert abs(rows[i] - entropy_oracle(probs[i])) < 1e-12
 
 
 class TestInverseEntropyWeights:
@@ -211,39 +204,35 @@ class TestBuildMask:
 
 
 class TestApplyMask:
-    def _grid(self, seed=13, z=8, width=4):
-        tokens = make_rng(seed).normal(size=(z, width))
-        return TokenGrid(tokens=tokens, grid_h=2, grid_w=z // 2, patch_size=1)
+    """A stage's keep mask as ``run_pipeline`` applies it: gather the kept rows, scatter back."""
+
+    def _run(self, policy, mask_mode):
+        img = make_rng(13).random((1, 64, 64))
+        cfg = PipelineConfig(depth=2, stage_indices=(1,), policy=policy, mask_mode=mask_mode)
+        return img, cfg, run_pipeline(img, BoxPrompt(0.2, 0.2, 0.7, 0.7), cfg)
 
     def test_all_ones_identity(self):
-        grid = self._grid()
+        # percentile 1e-3 keeps ceil(16 * 0.99999) = 16 of 16 tokens
         for mode in ("zero", "compact"):
-            out = apply_mask(grid, np.ones(8), mode)
-            assert np.array_equal(out.tokens, grid.tokens)
-            assert out.retained_count == 8
+            img, cfg, (out, _, report) = self._run(ThresholdPolicy("percentile", 1e-3), mode)
+            assert np.array_equal(out.tokens, encode_prefix(img, cfg).tokens)
+            assert out.retained_count == 16 and report.token_sparsity == 0.0
 
     def test_all_zeros(self):
-        grid = self._grid()
-        out = apply_mask(grid, np.zeros(8), "zero")
-        assert np.array_equal(out.tokens, np.zeros((8, 4)))
-        with pytest.raises(EmptyRetentionError):
-            apply_mask(grid, np.zeros(8), "compact")
+        for mode in ("zero", "compact"):
+            with pytest.raises(EmptyRetentionError):
+                self._run(ThresholdPolicy("fixed", 1 - 1e-12), mode)
 
     def test_compact_count_and_scatter_roundtrip(self):
         rng = make_rng(14)
-        grid = self._grid()
+        tokens = rng.normal(size=(8, 4))
+        coords = TokenGrid(tokens=tokens, grid_h=2, grid_w=4, patch_size=1).token_index_map
         for _ in range(20):
-            mask = rng.integers(0, 2, size=8)
-            if mask.sum() == 0:
-                mask[0] = 1
-            compact = apply_mask(grid, mask, "compact")
-            zero = apply_mask(grid, mask, "zero")
-            assert compact.tokens.shape[0] == int(mask.sum())
-            assert np.array_equal(scatter_tokens(compact), zero.tokens)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply_mask(self._grid(), np.ones(5), "zero")
+            keep = rng.integers(0, 2, size=8).astype(bool)
+            compact = PrunedTokens(mode="compact", tokens=tokens[keep],
+                                   retained_coords=coords[keep], grid_h=2, grid_w=4)
+            assert compact.retained_count == int(keep.sum())
+            assert np.array_equal(scatter_tokens(compact), tokens * keep[:, None])
 
 
 def _scene_grid(seed=0, size=64, p=16, width=32):
@@ -290,21 +279,6 @@ class TestPratoScore:
         proj = make_projections(32, 16, seed=5)
         with pytest.raises(DegeneratePromptError):
             prato_score(grid, BoxPrompt(0.5, 0.5, 0.5 + 1e-13, 0.9), proj)
-
-    def test_save_bundle(self, tmp_path):
-        import json
-
-        from prato.numerics import load_matrix
-
-        grid = _scene_grid(seed=6)
-        proj = make_projections(32, 16, seed=7)
-        bundle = prato_score(grid, BoxPrompt(0.2, 0.2, 0.7, 0.7), proj, k=3)
-        path = save_bundle(bundle, tmp_path / "audit")
-        record = json.loads(open(path).read())
-        assert record["mask"] == bundle.mask.astype(int).tolist()
-        assert record["tau_effective"] == bundle.tau_effective
-        sim = load_matrix(tmp_path / "audit" / record["matrices"]["similarity"])
-        assert np.array_equal(sim, bundle.similarity)
 
 
 class TestConcentratedRetention:

@@ -22,6 +22,8 @@ from prato.prune import ThresholdPolicy
 from prato.synth import (
     AREA_BOUNDS,
     CSV_COLUMNS,
+    SCENE_SIZE_MAX,
+    SCENE_SIZE_MIN,
     SweepSpec,
     generate_scene,
     run_sweep,
@@ -84,6 +86,14 @@ class TestGenerateScene:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             generate_scene("triangle", 64, seed=0)
+
+    @pytest.mark.parametrize("kind", ["ellipse", "rectangle", "blob"])
+    def test_size_limits(self, kind):
+        for seed in range(50):
+            assert generate_scene(kind, SCENE_SIZE_MIN, seed=seed).image.shape == (1, 16, 16)
+        for size in (0, SCENE_SIZE_MIN - 1, SCENE_SIZE_MAX + 1, 10**9):
+            with pytest.raises(ConfigurationError, match="scene size"):
+                generate_scene(kind, size, seed=0)
 
 
 class TestTightBox:
@@ -243,6 +253,28 @@ class TestRunSweep:
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             _small_spec(base_seed=-1)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k_values": None}, "sweep spec is missing keys: k_values"),
+        ({"policies": None, "seeds": None}, "sweep spec is missing keys: policies, seeds"),
+        ({"sizee": 64}, "unknown sweep spec keys: sizee"),
+        ({"policies": [{"value": 25}]}, "sweep spec record is missing field 'mode'"),
+        ({"perturbations": [{}]}, "sweep spec record is missing field 'kind'"),
+        ({"k_values": ["three"]}, "bad sweep spec value"),
+        ({"seeds": [2]}, "bad sweep spec value"),
+        ({"policies": ["percentile"]}, "bad sweep spec value"),
+        ({"perturbations": [["tight"]]}, "bad sweep spec value"),
+    ])
+    def test_spec_from_dict_rejects(self, change, message):
+        spec = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
+                "perturbations": [{"kind": "tight"}], "seeds": 1}
+        spec.update(change)
+        with pytest.raises(ConfigurationError, match=message):
+            sweep_spec_from_dict({k: v for k, v in spec.items() if v is not None})
+
+    def test_spec_must_be_an_object(self):
+        with pytest.raises(ConfigurationError, match="JSON object, got list"):
+            sweep_spec_from_dict([{"seeds": 1}])
 
 
 def _reference_sweep_csv(spec) -> bytes:
