@@ -9,6 +9,7 @@ import numpy as np
 
 from prato import encode_tokens, init_block_weights, make_embedder, patchify, tokenize_image
 from prato.encoder import attention_map
+from prato.tokens import row_major_index_map
 from prato.synth import generate_scene
 
 scene = generate_scene("ellipse", size=64, seed=1)
@@ -22,7 +23,7 @@ print(f"patchify: {patches.shape[0]} patches of {patches.shape[1]} values each")
 embedder = make_embedder(channels=1, patch_size=16, width=64, grid_h=4, grid_w=4, seed=0)
 grid = tokenize_image(scene.image, embedder, patch_size=16)
 print(f"tokens: {grid.tokens.shape}, grid {grid.grid_h}x{grid.grid_w}")
-print(f"first token coordinates: {grid.token_index_map[:5].tolist()} ...")
+print(f"first token coordinates: {row_major_index_map(grid.grid_h, grid.grid_w)[:5].tolist()} ...")
 
 # a zero-weight block is the identity (the residual path carries everything)
 identity = encode_tokens(grid.tokens, init_block_weights(64, 4, std=0.0))

@@ -14,7 +14,7 @@ from prato.tokens import TokenGrid
 fmap = np.zeros((8, 8, 1))
 for j in range(8):
     fmap[:, j, 0] = j + 0.5
-grid = TokenGrid(tokens=fmap.reshape(64, 1), grid_h=8, grid_w=8, patch_size=1)
+grid = TokenGrid(tokens=fmap.reshape(64, 1), grid_h=8, grid_w=8)
 
 box = BoxPrompt(0.22, 0.31, 0.68, 0.79)
 gbox = map_box_to_grid(box, grid_h=8, grid_w=8)
@@ -29,6 +29,6 @@ for by in range(3):
     print("   " + " ".join(f"{region.data[by * 3 + bx, 0]:.3f}" for bx in range(3)))
 
 # pooling a constant map returns the constant, whatever the box
-const = TokenGrid(tokens=np.full((64, 1), 0.5), grid_h=8, grid_w=8, patch_size=1)
+const = TokenGrid(tokens=np.full((64, 1), 0.5), grid_h=8, grid_w=8)
 out = roi_align(const, gbox, k=5)
 print(f"\nconstant map pools to the constant exactly: {bool(np.all(out.data == 0.5))}")

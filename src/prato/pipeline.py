@@ -22,11 +22,12 @@ is prefix-then-continuation, and a caller may pass a prefix it encoded
 earlier to run only the continuation: the sweep encodes one prefix per
 scene seed and reuses it for every (policy, k, perturbation) cell, and
 its CSV and JSON output stay byte-identical to running each cell from
-scratch. A prefix is only reused under its key, the config fields and
-image shape that determine the weights and the prefix tokens (seed,
-depth, first stage, patch size, embed width, heads, d_v, positional
-mode, projection tying, residual mode, LN epsilon, and the image's
-channels, height and width), and only on the image it was encoded from.
+scratch. Reuse goes by key, never by shape: weights carry their
+:func:`weights_key` (seed, depth, patch size, embed width, heads, d_v,
+positional mode, projection tying, and the image's channels, height and
+width), and a prefix its :func:`prefix_key` (that key plus the first
+stage, residual mode and LN epsilon). Each is only accepted under an
+equal key, and a prefix only on the image it was encoded from.
 
 Per block over n tokens of width C:
     qkv projections   3 * 2n*C^2
@@ -270,7 +271,7 @@ def perturb_prompt(box: BoxPrompt, perturbation: PromptPerturbation, rng: np.ran
 
 def token_in_box_mask(grid_h: int, grid_w: int, gbox: GridBox) -> np.ndarray:
     """Boolean (Z,) flag of tokens whose cell center lies inside the grid box."""
-    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
+    rows, cols = row_major_index_map(grid_h, grid_w).T
     cx = cols + 0.5
     cy = rows + 0.5
     return (gbox.x1 <= cx) & (cx <= gbox.x2) & (gbox.y1 <= cy) & (cy <= gbox.y2)
@@ -278,9 +279,20 @@ def token_in_box_mask(grid_h: int, grid_w: int, gbox: GridBox) -> np.ndarray:
 
 @dataclass
 class PipelineWeights:
+    """All seeded weights of a run and the :func:`weights_key` they were built under."""
+
     embedder: object
     blocks: list
     projections: Projections
+    key: dict
+
+
+def weights_key(cfg: PipelineConfig, image_shape) -> dict:
+    """Config fields and image shape that determine the weights."""
+    return {"seed": cfg.seed, "depth": cfg.depth, "patch_size": cfg.patch_size,
+            "embed_dim": cfg.embed_dim, "heads": cfg.heads, "d_v": cfg.d_v,
+            "positional": cfg.positional, "proj_tied": cfg.proj_tied,
+            "image_shape": tuple(image_shape)}
 
 
 def build_pipeline_weights(cfg: PipelineConfig, channels: int, grid_h: int, grid_w: int) -> PipelineWeights:
@@ -295,7 +307,8 @@ def build_pipeline_weights(cfg: PipelineConfig, channels: int, grid_h: int, grid
         for b in range(cfg.depth)
     ]
     projections = make_projections(cfg.embed_dim, cfg.d_v, seed=int(seeds[-1]), tied=cfg.proj_tied)
-    return PipelineWeights(embedder=embedder, blocks=blocks, projections=projections)
+    key = weights_key(cfg, (channels, grid_h * cfg.patch_size, grid_w * cfg.patch_size))
+    return PipelineWeights(embedder=embedder, blocks=blocks, projections=projections, key=key)
 
 
 def prato_score(
@@ -328,7 +341,6 @@ def prato_score(
         entropies=entropies,
         ranks=ranks,
         weights=weights,
-        weighted_similarity=weights[:, None] * similarity,
         relevance=relevance,
         mask=mask,
         tau_effective=tau,
@@ -352,34 +364,22 @@ class EncodedPrefix:
 
 
 def prefix_key(cfg: PipelineConfig, image_shape) -> dict:
-    """Config fields and image shape that determine the weights and the prefix tokens."""
-    return {
-        "seed": cfg.seed, "depth": cfg.depth, "first_stage": cfg.stage_indices[0],
-        "patch_size": cfg.patch_size, "embed_dim": cfg.embed_dim, "heads": cfg.heads,
-        "d_v": cfg.d_v, "positional": cfg.positional, "proj_tied": cfg.proj_tied,
-        "residual": cfg.residual, "ln_eps": cfg.ln_eps, "image_shape": tuple(image_shape),
-    }
+    """The weights key plus the config fields that determine the prefix tokens."""
+    return {**weights_key(cfg, image_shape), "first_stage": cfg.stage_indices[0],
+            "residual": cfg.residual, "ln_eps": cfg.ln_eps}
 
 
-def _check_weights(weights: PipelineWeights, cfg: PipelineConfig, channels: int, z: int) -> None:
-    """Raise ConfigurationError unless the weights have the shapes the config and image need."""
-    c, p = cfg.embed_dim, cfg.patch_size
-    found_expected = {
-        "blocks": (len(weights.blocks), cfg.depth),
-        "block widths": ({blk.width for blk in weights.blocks}, {c}),
-        "block heads": ({blk.heads for blk in weights.blocks}, {cfg.heads}),
-        "embedder projection": (weights.embedder.projection.shape, (channels * p * p, c)),
-        "positional table": (weights.embedder.positional.shape, (z, c)),
-        "relevance projections": (weights.projections.f1.shape, (c, cfg.d_v)),
-    }
-    bad = [f"{name} {found} != {expected}"
-           for name, (found, expected) in found_expected.items() if found != expected]
+def _check_key(found: dict, expected: dict, message: str) -> None:
+    """Raise ConfigurationError naming every field where ``found`` differs from ``expected``."""
+    bad = [f"{name} {found[name]!r} != {expected[name]!r}"
+           for name in expected if found[name] != expected[name]]
     if bad:
-        raise ConfigurationError("weights do not fit the config: " + "; ".join(bad))
+        raise ConfigurationError(f"{message}: " + "; ".join(bad))
 
 
 def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> EncodedPrefix:
-    """Validate, build or check the weights, tokenize, and run blocks up to the first stage."""
+    """Validate, build the weights or check their :func:`weights_key`, tokenize, and run
+    blocks up to the first stage; the prefix records its :func:`prefix_key`."""
     img = validate_image(img)
     channels, h, w_px = img.shape
     p = cfg.patch_size
@@ -389,7 +389,7 @@ def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> 
     if weights is None:
         weights = build_pipeline_weights(cfg, channels, grid_h, grid_w)
     else:
-        _check_weights(weights, cfg, channels, grid_h * grid_w)
+        _check_key(weights.key, weights_key(cfg, img.shape), "weights do not fit the config")
 
     tokens = tokenize_image(img, weights.embedder, p).tokens
     for b in range(cfg.stage_indices[0] + 1):
@@ -398,36 +398,29 @@ def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> 
     return EncodedPrefix(key=prefix_key(cfg, img.shape), image=img, weights=weights, tokens=tokens)
 
 
-def _check_prefix(prefix: EncodedPrefix, img, cfg: PipelineConfig) -> None:
-    img = np.asarray(img, dtype=np.float64)
-    key = prefix_key(cfg, img.shape)
-    bad = [f"{name} {prefix.key[name]!r} != {key[name]!r}"
-           for name in key if prefix.key[name] != key[name]]
-    if bad:
-        raise ConfigurationError("prefix was encoded under a different key: " + "; ".join(bad))
-    if not np.array_equal(img, prefix.image):
-        raise ConfigurationError("prefix was encoded from a different image")
-
-
 def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeights = None,
                  prefix: EncodedPrefix = None):
     """Run embed -> encode -> prune stages; returns (tokens, bundles, report).
 
     Deterministic for a fixed (image, box, config, seed). ``weights``
-    may be passed to reuse materialized weights across runs of the same
-    config; ``prefix``, from :func:`encode_prefix` on the same image and
-    a config with the same :func:`prefix_key`, skips everything before
-    the first stage. The output is bit-identical either way.
+    from :func:`build_pipeline_weights` may be passed to reuse them
+    across runs whose config and image have the same :func:`weights_key`;
+    ``prefix``, from :func:`encode_prefix` on the same image and a config
+    with the same :func:`prefix_key`, skips everything before the first
+    stage. Either raises ConfigurationError under another key, and the
+    output is bit-identical to a fresh run.
     """
     if prefix is None:
         prefix = encode_prefix(img, cfg, weights)
     elif weights is not None:
         raise ConfigurationError("pass weights or a prefix, not both")
     else:
-        _check_prefix(prefix, img, cfg)
+        _check_key(prefix.key, prefix_key(cfg, np.shape(img)),
+                   "prefix was encoded under a different key")
+        if not np.array_equal(img, prefix.image):
+            raise ConfigurationError("prefix was encoded from a different image")
     weights = prefix.weights
-    p = cfg.patch_size
-    grid_h, grid_w = prefix.image.shape[1] // p, prefix.image.shape[2] // p
+    grid_h, grid_w = (n // cfg.patch_size for n in prefix.image.shape[1:])
     z = grid_h * grid_w
     first = cfg.stage_indices[0]
 
@@ -445,8 +438,7 @@ def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeig
                                           residual=cfg.residual, ln_eps=cfg.ln_eps)
         if b not in cfg.stage_indices:
             continue
-        feature_grid = TokenGrid(tokens=scatter_tokens(pruned), grid_h=grid_h, grid_w=grid_w,
-                                 patch_size=p)
+        feature_grid = TokenGrid(tokens=scatter_tokens(pruned), grid_h=grid_h, grid_w=grid_w)
         bundle = prato_score(feature_grid, box, weights.projections, cfg.roi_k, cfg.policy,
                              cfg.sampling_ratio, tokens=pruned.tokens)
         keep = bundle.mask.astype(bool)

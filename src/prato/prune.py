@@ -41,15 +41,16 @@ class Projections:
 
     f1: np.ndarray
     f2: np.ndarray
-    d_v: int
 
     def __post_init__(self):
         self.f1 = as_matrix(self.f1, "f1")
         self.f2 = as_matrix(self.f2, "f2")
         if self.f1.shape != self.f2.shape:
             raise ShapeError(f"projection shapes {self.f1.shape} and {self.f2.shape} differ")
-        if self.f1.shape[1] != self.d_v:
-            raise ShapeError(f"projection width {self.f1.shape[1]} does not match d_v {self.d_v}")
+
+    @property
+    def d_v(self) -> int:
+        return self.f1.shape[1]
 
 
 def make_projections(width: int, d_v: int, seed: int = 0, tied: bool = True) -> Projections:
@@ -57,7 +58,7 @@ def make_projections(width: int, d_v: int, seed: int = 0, tied: bool = True) -> 
     std = 1.0 / math.sqrt(width)
     f1 = gaussian_matrix(rng, width, d_v, std)
     f2 = f1.copy() if tied else gaussian_matrix(rng, width, d_v, std)
-    return Projections(f1=f1, f2=f2, d_v=d_v)
+    return Projections(f1=f1, f2=f2)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ class RelevanceBundle:
     entropies: np.ndarray  # (M,), bits
     ranks: np.ndarray  # (M,), normalized ascending entropy ranks in [0, 1]
     weights: np.ndarray  # (M,), inverse rank weights in [0, 1]
-    weighted_similarity: np.ndarray  # (M, N)
     relevance: np.ndarray  # (N,)
     mask: np.ndarray  # (N,), values in {0, 1}
     tau_effective: float

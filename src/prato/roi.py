@@ -87,7 +87,6 @@ class RegionFeature:
 
     k: int
     data: np.ndarray
-    source_box: GridBox
 
     @property
     def m(self) -> int:
@@ -166,4 +165,4 @@ def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) ->
     xx = np.broadcast_to(xs[None, :, None, :], (k, k, n, n))
     samples = _bilinear(fmap, yy, xx)  # (k, k, n, n, C)
     pooled = samples.mean(axis=(2, 3)).reshape(k * k, grid.width)
-    return RegionFeature(k=k, data=pooled, source_box=box)
+    return RegionFeature(k=k, data=pooled)

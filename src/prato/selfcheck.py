@@ -70,8 +70,8 @@ def check_concentrated_retention(rng) -> bool:
 
 def check_roi_align(rng) -> bool:
     fmap = rng.random((8, 8, 4))
-    grid = TokenGrid(tokens=fmap.reshape(64, 4), grid_h=8, grid_w=8, patch_size=1)
-    const = TokenGrid(tokens=np.full((64, 4), 0.7), grid_h=8, grid_w=8, patch_size=1)
+    grid = TokenGrid(tokens=fmap.reshape(64, 4), grid_h=8, grid_w=8)
+    const = TokenGrid(tokens=np.full((64, 4), 0.7), grid_h=8, grid_w=8)
     out = roi.roi_align(const, GridBox(1.3, 2.1, 5.7, 6.2), k=5).data
     if not np.all(out == 0.7):
         return False

@@ -22,6 +22,7 @@ from .numerics import make_rng, open_new
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
+    box_iou,
     config_from_dict,
     encode_prefix,
     perturb_prompt,
@@ -233,8 +234,6 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     Rows are written policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    from .pipeline import box_iou  # local import to keep module deps one-way
-
     cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
     rows = [[None] * spec.seeds for _ in cells]
     for s in range(spec.seeds):

@@ -11,7 +11,7 @@ token matrix so later stages can map tokens back to space.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,13 @@ IMAGE_MAGIC = b"PRTI"
 class TokenGrid:
     """Token matrix (Z x width) plus the grid geometry it was cut from.
 
-    ``token_index_map`` lists the (row, col) grid cell of each token in
-    row-major order; tokens and grid cells stay in bijection.
+    Tokens and grid cells are in row-major bijection: token i sits at
+    cell (i // grid_w, i % grid_w), as :func:`row_major_index_map` lists.
     """
 
     tokens: np.ndarray
     grid_h: int
     grid_w: int
-    patch_size: int
-    token_index_map: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.tokens = as_matrix(self.tokens, "tokens")
@@ -43,8 +41,6 @@ class TokenGrid:
                 f"{self.tokens.shape[0]} tokens do not fill a "
                 f"{self.grid_h}x{self.grid_w} grid"
             )
-        if self.token_index_map is None:
-            self.token_index_map = row_major_index_map(self.grid_h, self.grid_w)
 
     @property
     def z(self) -> int:
@@ -63,7 +59,6 @@ class TokenGrid:
 class EmbedderWeights:
     projection: np.ndarray  # (C*p*p, width)
     positional: np.ndarray  # (Z, width)
-    mode: str = "sinusoidal"  # "sinusoidal" or "learned"
 
     def __post_init__(self):
         self.projection = as_matrix(self.projection, "projection")
@@ -76,6 +71,7 @@ class EmbedderWeights:
 
 
 def row_major_index_map(grid_h: int, grid_w: int) -> np.ndarray:
+    """(Z, 2) grid (row, col) of each token in row-major order."""
     rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
     return np.stack([rows, cols], axis=1)
 
@@ -142,10 +138,10 @@ def make_embedder(
         pos = np.zeros((z, width))
     else:
         raise ConfigurationError(f"unknown positional mode {positional!r}")
-    return EmbedderWeights(projection=proj, positional=pos, mode=positional)
+    return EmbedderWeights(projection=proj, positional=pos)
 
 
-def embed_tokens(patches, weights: EmbedderWeights, grid_h: int, grid_w: int, patch_size: int) -> TokenGrid:
+def embed_tokens(patches, weights: EmbedderWeights, grid_h: int, grid_w: int) -> TokenGrid:
     """Project flattened patches and add positional codes."""
     patches = as_matrix(patches, "patches")
     if patches.shape[1] != weights.projection.shape[0]:
@@ -159,14 +155,13 @@ def embed_tokens(patches, weights: EmbedderWeights, grid_h: int, grid_w: int, pa
             f"{weights.positional.shape[0]} rows"
         )
     tokens = patches @ weights.projection + weights.positional
-    return TokenGrid(tokens=tokens, grid_h=grid_h, grid_w=grid_w, patch_size=patch_size)
+    return TokenGrid(tokens=tokens, grid_h=grid_h, grid_w=grid_w)
 
 
 def tokenize_image(img, weights: EmbedderWeights, patch_size: int) -> TokenGrid:
-    img = validate_image(img)
-    _, h, w = img.shape
-    patches = patchify(img, patch_size)
-    return embed_tokens(patches, weights, h // patch_size, w // patch_size, patch_size)
+    patches = patchify(img, patch_size)  # validates the image
+    _, h, w = np.shape(img)
+    return embed_tokens(patches, weights, h // patch_size, w // patch_size)
 
 
 def save_image(path, img) -> None:

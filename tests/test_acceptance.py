@@ -157,7 +157,7 @@ def test_criterion_06_roi_align_oracle():
     for _ in range(500):
         h, w = int(rng.integers(4, 11)), int(rng.integers(4, 11))
         fmap = rng.random((h, w, 3))
-        grid = TokenGrid(tokens=fmap.reshape(h * w, 3), grid_h=h, grid_w=w, patch_size=1)
+        grid = TokenGrid(tokens=fmap.reshape(h * w, 3), grid_h=h, grid_w=w)
         x1, y1 = rng.uniform(0, w - 1), rng.uniform(0, h - 1)
         x2, y2 = rng.uniform(x1 + 0.2, w), rng.uniform(y1 + 0.2, h)
         k, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
@@ -165,7 +165,7 @@ def test_criterion_06_roi_align_oracle():
         want = roi_oracle(fmap, (x1, y1, x2, y2), k, n)
         worst = max(worst, float(np.abs(got - want).max()))
     const_ok = True
-    const = TokenGrid(tokens=np.full((49, 2), 1.25), grid_h=7, grid_w=7, patch_size=1)
+    const = TokenGrid(tokens=np.full((49, 2), 1.25), grid_h=7, grid_w=7)
     for _ in range(200):
         x1, y1 = rng.uniform(0, 6, size=2)
         box = GridBox(x1, y1, rng.uniform(x1 + 0.1, 7), rng.uniform(y1 + 0.1, 7))

@@ -18,7 +18,7 @@ from prato.tokens import TokenGrid
 
 
 def _grid(tokens, gh, gw):
-    return TokenGrid(tokens=tokens, grid_h=gh, grid_w=gw, patch_size=1)
+    return TokenGrid(tokens=tokens, grid_h=gh, grid_w=gw)
 
 
 class TestEncodeBlock:

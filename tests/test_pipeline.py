@@ -5,8 +5,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prato.errors import ConfigurationError, EmptyRetentionError
+from prato.errors import ConfigurationError, EmptyRetentionError, PratoError
 from prato.numerics import make_rng
 from prato.pipeline import (
     PipelineConfig,
@@ -22,7 +24,7 @@ from prato.pipeline import (
     run_pipeline,
     token_in_box_mask,
 )
-from prato.prune import ThresholdPolicy, scatter_tokens
+from prato.prune import ThresholdPolicy, retention_target, scatter_tokens
 from prato.roi import BoxPrompt, GridBox
 from prato.synth import generate_scene
 from prato.tokens import load_plane_csv
@@ -398,6 +400,7 @@ class TestPrefixReuse:
     @pytest.mark.parametrize("built_with, grid", [
         (dict(depth=2), 4), (dict(embed_dim=32), 4), (dict(heads=2), 4),
         (dict(d_v=32), 4), (dict(patch_size=8), 4), ({}, 8),
+        (dict(seed=1), 4), (dict(positional="learned"), 4), (dict(proj_tied=False), 4),
     ])
     def test_weights_that_do_not_fit_rejected(self, built_with, grid):
         scene = generate_scene("ellipse", 64, seed=0)
@@ -411,3 +414,73 @@ class TestPrefixReuse:
         weights = build_pipeline_weights(cfg, 1, 4, 4)
         with pytest.raises(ConfigurationError, match="do not fit"):
             run_pipeline(np.full((3, 64, 64), 0.5), _mid_box(), cfg, weights)
+
+
+@st.composite
+def _small_runs(draw):
+    """A small (image, box, config) triple; images not divisible by the patch size are kept."""
+    depth, heads = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 4]))
+    cfg = PipelineConfig(
+        depth=depth,
+        stage_indices=draw(st.sets(st.integers(0, depth - 1), min_size=1)),
+        patch_size=draw(st.sampled_from([4, 8])),
+        embed_dim=heads * draw(st.sampled_from([2, 4])),
+        heads=heads,
+        d_v=draw(st.integers(1, 8)),
+        roi_k=draw(st.integers(1, 4)),
+        sampling_ratio=draw(st.integers(1, 2)),
+        policy=draw(st.one_of(
+            st.builds(ThresholdPolicy, st.just("percentile"), st.floats(1.0, 99.0)),
+            st.builds(ThresholdPolicy, st.just("fixed"), st.floats(0.05, 0.95)),
+        )),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        residual=draw(st.sampled_from(["block", "sublayer"])),
+        positional=draw(st.sampled_from(["sinusoidal", "learned", "none"])),
+        proj_tied=draw(st.booleans()),
+    )
+    shape = (draw(st.integers(1, 2)), 4 * draw(st.integers(1, 6)), 4 * draw(st.integers(1, 6)))
+    img = make_rng(draw(st.integers(0, 2 ** 16))).random(shape)
+    edges = st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True).map(sorted)
+    (x1, x2), (y1, y2) = draw(edges), draw(edges)
+    return img, BoxPrompt(x1 / 16, y1 / 16, x2 / 16, y2 / 16), cfg
+
+
+class TestRunProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_small_runs())
+    def test_run_raises_pratoerror_or_keeps_its_laws(self, case):
+        img, box, cfg = case
+        compact = replace(cfg, mask_mode="compact")
+        c, h, w = img.shape
+        p = cfg.patch_size
+        runs = {
+            "fresh": lambda: run_pipeline(img, box, compact),
+            "again": lambda: run_pipeline(img, box, compact),
+            "prefix": lambda: run_pipeline(img, box, compact, prefix=encode_prefix(img, compact)),
+            "weights": lambda: run_pipeline(
+                img, box, compact, build_pipeline_weights(compact, c, h // p, w // p)),
+            "zero": lambda: run_pipeline(img, box, replace(cfg, mask_mode="zero")),
+        }
+        outcomes = {}
+        for name, run in runs.items():
+            try:
+                outcomes[name] = run()
+            except PratoError as exc:
+                outcomes[name] = type(exc)
+        fresh = outcomes.pop("fresh")
+        if isinstance(fresh, type):
+            assert all(outcome is fresh for outcome in outcomes.values()), outcomes
+            return
+        pruned, bundles, report = fresh
+        live = report.tokens_full
+        assert len(bundles) == len(report.tokens_retained) == len(cfg.stage_indices)
+        for bundle, kept in zip(bundles, report.tokens_retained):
+            assert bundle.mask.size == live and int(bundle.mask.sum()) == kept
+            if cfg.policy.mode == "percentile":
+                assert kept == retention_target(live, cfg.policy.value)
+            live = kept
+        assert pruned.retained_count == live
+        for name in ("again", "prefix", "weights"):
+            _assert_same_run(fresh, outcomes[name])
+        scattered = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
+        _assert_same_run(outcomes["zero"], (scattered, bundles, report))

@@ -25,13 +25,13 @@ from prato.prune import (
 )
 from prato.roi import BoxPrompt
 from prato.selfcheck import entropy_oracle
-from prato.tokens import TokenGrid, make_embedder, tokenize_image
+from prato.tokens import make_embedder, row_major_index_map, tokenize_image
 
 
 class TestComputeSimilarity:
     def test_identity_projections_identity_features(self):
         d = 6
-        proj = Projections(f1=np.eye(d), f2=np.eye(d), d_v=d)
+        proj = Projections(f1=np.eye(d), f2=np.eye(d))
         s = compute_similarity(np.eye(d), np.eye(d), proj)
         assert np.abs(s - np.eye(d) / math.sqrt(d)).max() < 1e-15
 
@@ -226,7 +226,7 @@ class TestApplyMask:
     def test_compact_count_and_scatter_roundtrip(self):
         rng = make_rng(14)
         tokens = rng.normal(size=(8, 4))
-        coords = TokenGrid(tokens=tokens, grid_h=2, grid_w=4, patch_size=1).token_index_map
+        coords = row_major_index_map(2, 4)
         for _ in range(20):
             keep = rng.integers(0, 2, size=8).astype(bool)
             compact = PrunedTokens(mode="compact", tokens=tokens[keep],
@@ -269,7 +269,7 @@ class TestPratoScore:
         assert set(np.unique(bundle.mask)) <= {0, 1}
         assert bundle.relevance.shape == (grid.z,)
         assert np.array_equal(
-            bundle.weighted_similarity, bundle.weights[:, None] * bundle.similarity
+            bundle.relevance, (bundle.weights[:, None] * bundle.similarity).mean(0)
         )
 
     def test_degenerate_prompt_surfaces(self):

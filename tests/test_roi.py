@@ -17,7 +17,7 @@ from prato.tokens import TokenGrid
 
 def _grid_from_map(fmap):
     h, w, c = fmap.shape
-    return TokenGrid(tokens=fmap.reshape(h * w, c), grid_h=h, grid_w=w, patch_size=1)
+    return TokenGrid(tokens=fmap.reshape(h * w, c), grid_h=h, grid_w=w)
 
 
 class TestBoxPrompt:

@@ -16,6 +16,7 @@ from prato.tokens import (
     load_plane_csv,
     make_embedder,
     patchify,
+    row_major_index_map,
     save_image,
     sinusoidal_positions,
     tokenize_image,
@@ -82,13 +83,13 @@ class TestEmbed:
     def test_zero_weights(self):
         patches = make_rng(1).random((4, 8))
         w = EmbedderWeights(projection=np.zeros((8, 6)), positional=np.zeros((4, 6)))
-        grid = embed_tokens(patches, w, 2, 2, 2)
+        grid = embed_tokens(patches, w, 2, 2)
         assert np.array_equal(grid.tokens, np.zeros((4, 6)))
 
     def test_identity_projection(self):
         patches = make_rng(2).random((4, 4))
         w = EmbedderWeights(projection=np.eye(4), positional=np.zeros((4, 4)))
-        grid = embed_tokens(patches, w, 2, 2, 2)
+        grid = embed_tokens(patches, w, 2, 2)
         assert np.array_equal(grid.tokens, patches)
 
     def test_matches_composition_oracle(self):
@@ -97,7 +98,7 @@ class TestEmbed:
         proj = rng.normal(size=(12, 5))
         pos = rng.normal(size=(6, 5))
         w = EmbedderWeights(projection=proj, positional=pos)
-        grid = embed_tokens(patches, w, 2, 3, 2)
+        grid = embed_tokens(patches, w, 2, 3)
         want = np.zeros((6, 5))
         for i in range(6):
             for j in range(5):
@@ -107,14 +108,24 @@ class TestEmbed:
     def test_shape_mismatch(self):
         w = EmbedderWeights(projection=np.zeros((9, 6)), positional=np.zeros((4, 6)))
         with pytest.raises(ShapeError):
-            embed_tokens(np.zeros((4, 8)), w, 2, 2, 2)
+            embed_tokens(np.zeros((4, 8)), w, 2, 2)
 
     def test_index_map_is_row_major_bijection(self):
         img = make_rng(4).random((1, 8, 8))
         w = make_embedder(1, 4, 16, 2, 2, seed=0)
         grid = tokenize_image(img, w, 4)
-        assert grid.z == 4
-        assert np.array_equal(grid.token_index_map, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        assert (grid.z, grid.grid_h, grid.grid_w) == (4, 2, 2)
+        coords = row_major_index_map(grid.grid_h, grid.grid_w)
+        assert np.array_equal(coords, [[0, 0], [0, 1], [1, 0], [1, 1]])
+
+    @pytest.mark.parametrize("img, error, match", [
+        (np.full((8, 8), 0.5), ShapeError, "must be \\(C, H, W\\)"),
+        (np.full((1, 8, 8), 1.5), ValidationError, "must lie in \\[0, 1\\]"),
+        (np.full((1, 8, 8), np.nan), ValidationError, "non-finite"),
+    ])
+    def test_tokenize_rejects_bad_image(self, img, error, match):
+        with pytest.raises(error, match=match):
+            tokenize_image(img, make_embedder(1, 4, 16, 2, 2, seed=0), 4)
 
     def test_learned_positional_is_seeded(self):
         a = make_embedder(1, 4, 8, 2, 2, seed=5, positional="learned")
