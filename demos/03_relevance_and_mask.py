@@ -9,7 +9,7 @@ the prompted target.
 
 import numpy as np
 
-from prato import BoxPrompt, ThresholdPolicy, make_projections, prato_score
+from prato import ThresholdPolicy, make_projections, prato_score
 from prato.pipeline import token_in_box_mask
 from prato.roi import map_box_to_grid
 from prato.synth import generate_scene

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigurationError, PratoError
-from .numerics import open_new
+from .numerics import load_json, open_new
 from .pipeline import PipelineConfig, config_from_dict, run_pipeline
 from .prune import ThresholdPolicy
 from .roi import load_box
@@ -47,8 +47,7 @@ def _env_seed():
 def _load_config(path) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    return config_from_dict(load_json(path))
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -100,8 +99,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec) as f:
-        spec = sweep_spec_from_dict(json.load(f))
+    spec = sweep_spec_from_dict(load_json(args.spec))
     env_seed = _env_seed()
     if env_seed is not None:
         spec = replace(spec, base_seed=env_seed)

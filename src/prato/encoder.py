@@ -15,10 +15,20 @@ Each head walks the queries in blocks of ``QUERY_BLOCK`` (256) rows; a
 row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
+
+A block over n > ``QUERY_BLOCK`` tokens deals head h to group h mod G, with
+G = min(usable cores, heads). The caller runs group 0 and a module-level
+pool of G - 1 threads the rest, each group in one reused (min(n, 256), n)
+score buffer, and waits for every group before it returns or raises. numpy
+drops the GIL in BLAS and elementwise loops; each head makes the same calls
+as in one thread, so output is bit-identical for every G. A forked child
+drops the inherited pool, whose threads the fork did not copy.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +39,10 @@ from .numerics import as_matrix, gaussian_matrix, layer_norm, make_rng, softmax_
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = {}  # "threads": the executor for head groups 1..G-1, set by the first pooled block
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
 
 
 @dataclass
@@ -114,9 +128,9 @@ def init_block_weights(width: int, heads: int, seed: int = 0, std: float = 0.02)
     )
 
 
-def _scores(q: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """Attention logits of one head: q k^T scaled by 1/sqrt(d_h)."""
-    s = q @ kt
+def _scores(q: np.ndarray, kt: np.ndarray, out=None) -> np.ndarray:
+    """Attention logits of one head: q k^T scaled by 1/sqrt(d_h), into ``out`` if given."""
+    s = np.matmul(q, kt, out=out)
     s *= 1.0 / np.sqrt(q.shape[1])
     return s
 
@@ -124,14 +138,26 @@ def _scores(q: np.ndarray, kt: np.ndarray) -> np.ndarray:
 def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     n, width = x.shape
     d_h = width // w.heads
+    groups = min(_CORES, w.heads) if n > QUERY_BLOCK else 1
     out = np.empty((n, width))
-    for h in range(w.heads):
-        q = x @ w.wq[h]
-        kt = (x @ w.wk[h]).T
-        v = x @ w.wv[h]
-        for r in range(0, n, QUERY_BLOCK):
-            rows = slice(r, r + QUERY_BLOCK)
-            out[rows, h * d_h:(h + 1) * d_h] = softmax_rows(_scores(q[rows], kt)) @ v
+
+    def run(g, buf):
+        for h in range(g, w.heads, groups):
+            q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
+            for r in range(0, n, QUERY_BLOCK):
+                s = _scores(q[r:r + QUERY_BLOCK], kt, out=buf[:min(QUERY_BLOCK, n - r)])
+                out[r:r + QUERY_BLOCK, h * d_h:(h + 1) * d_h] = softmax_rows(s, out=s) @ v
+
+    # an executor starts no thread before its first task, so a caller losing this race costs nothing
+    pool = _pool.setdefault("threads", ThreadPoolExecutor(groups - 1)) if groups > 1 else None
+    shape = (min(n, QUERY_BLOCK), n)
+    futures = [pool.submit(run, g, np.empty(shape)) for g in range(1, groups)]
+    try:
+        run(0, np.empty(shape))
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
     return out @ w.wo
 
 
@@ -157,8 +183,10 @@ def encode_tokens(
 
 
 def attention_map(grid: TokenGrid, w: BlockWeights, head: int, ln_eps: float = 1e-6) -> np.ndarray:
-    """Row-stochastic (Z, Z) attention matrix of one head, for inspection."""
+    """Row-stochastic (Z, Z) attention matrix of one head, as ``encode_tokens`` applies it."""
     if not 0 <= head < w.heads:
         raise IndexError(f"head {head} out of range for {w.heads} heads")
     x = layer_norm(grid.tokens, w.ln1_gamma, w.ln1_beta, ln_eps)
-    return softmax_rows(_scores(x @ w.wq[head], (x @ w.wk[head]).T))
+    q, kt = x @ w.wq[head], (x @ w.wk[head]).T
+    return np.vstack([softmax_rows(_scores(q[r:r + QUERY_BLOCK], kt))
+                      for r in range(0, grid.z, QUERY_BLOCK)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import math
 import os
 import struct
@@ -28,10 +29,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction, computed in one fresh array."""
+def softmax_rows(m, out=None) -> np.ndarray:
+    """Row-wise softmax with per-row max subtraction, in a fresh array or in ``out`` (may be m)."""
     m = as_matrix(m, "m")
-    e = m - m.max(axis=1, keepdims=True)
+    e = np.subtract(m, m.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -118,6 +119,15 @@ def read_container(path, magic: bytes, n_dims: int) -> tuple[tuple, np.ndarray]:
             )
         data = np.frombuffer(f.read(size), dtype="<f8")
     return dims, data
+
+
+def load_json(path):
+    """Parse a JSON file; one that is not JSON in UTF-8 raises ValidationError naming it."""
+    with open(path, "rb") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePromptError, RangeError, ValidationError
-from .numerics import open_new
+from .numerics import load_json, open_new
 from .tokens import TokenGrid
 
 
@@ -51,8 +51,7 @@ def box_from_dict(d: dict) -> BoxPrompt:
 
 
 def load_box(path) -> BoxPrompt:
-    with open(path) as f:
-        return box_from_dict(json.load(f))
+    return box_from_dict(load_json(path))
 
 
 def save_box(path, box: BoxPrompt) -> None:

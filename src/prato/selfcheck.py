@@ -182,9 +182,16 @@ def check_encoder_identity(rng) -> bool:
 
 def check_attention_rows(rng) -> bool:
     x = rng.normal(size=(encoder.QUERY_BLOCK + 45, 48))
-    w = encoder.init_block_weights(48, 3, seed=5)
-    want = attention_oracle(x, w)
-    return np.abs(encoder._attention(x, w) - want).max() <= 1e-14 * np.abs(want).max()
+    w = encoder.init_block_weights(48, 3, seed=5)  # pooled: head groups {0, 2} and {1}
+    want, saved, got = attention_oracle(x, w), encoder._CORES, []
+    try:
+        for cores in (1, 2):
+            encoder._CORES = cores
+            np.full(x.shape, np.nan)  # freed at once, so a skipped group reads NaN, not the last run
+            got.append(encoder._attention(x, w))
+    finally:
+        encoder._CORES = saved
+    return np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max() and np.array_equal(*got)
 
 
 def attention_oracle(x, w):
@@ -207,7 +214,7 @@ CHECKS = [
     ("loss gradient vs finite differences", check_gradient_fd),
     ("pipeline determinism", check_pipeline_determinism),
     ("zero-weight block is the identity", check_encoder_identity),
-    ("attention rows: blocked vs unblocked", check_attention_rows),
+    ("attention rows: blocked vs unblocked, pooled vs serial", check_attention_rows),
 ]
 
 

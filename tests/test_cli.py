@@ -1,9 +1,13 @@
 """CLI surface tests: subcommands, flags, config files, env override."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prato.cli import main
 from prato.synth import generate_scene, save_scene
@@ -14,6 +18,41 @@ def scene_files(tmp_path):
     scene = generate_scene("ellipse", 64, seed=0)
     entry = save_scene(scene, tmp_path, 0)
     return tmp_path / entry["image"], tmp_path / entry["box"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_grammar(tmp_path_factory):
+    """Per subcommand, each flag's (good values, bad values) for the argv fuzz."""
+    root = tmp_path_factory.mktemp("fuzz")
+    entry = save_scene(generate_scene("ellipse", 64, seed=0), root, 0)
+    image, box = str(root / entry["image"]), str(root / entry["box"])
+    files = {"config.json": '{"depth": 1}', "bad.json": "{", "bad.csv": "1,2\nfoo,3\n",
+             "spec.json": json.dumps({"policies": [{"mode": "percentile", "value": 25}],
+                                      "k_values": [3], "perturbations": [{"kind": "tight"}],
+                                      "seeds": 1, "size": 32})}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    path = {name: str(root / name) for name in files}
+    out, missing = str(root / "out"), str(root / "missing")
+    ints = ["0", "-1", "x", "1.5", ""]
+    seeds = (["0", "7"], ints)
+    return {
+        "synth": {"--out": ([out], [image]), "--count": (["1", "2"], ints),
+                  "--size": (["16", "32"], ["15", "100000", *ints]),
+                  "--kind": (["ellipse", "rectangle", "blob"], ["disc"]), "--seed": seeds},
+        "prune": {"--image": ([image], [box, path["bad.csv"], missing]),
+                  "--box": ([box], [image, path["bad.json"], missing]),
+                  "--config": ([path["config.json"]],
+                               [path["bad.json"], path["spec.json"], image, box, missing]),
+                  "--patch-size": (["8", "16"], ["1000", *ints]), "--roi-k": (["2", "3"], ints),
+                  "--tau-mode": (["fixed", "percentile"], ["median"]),
+                  "--tau-value": (["0.5", "50"], ["nan", "inf", "-3", "100", *ints]),
+                  "--seed": seeds},
+        "sweep": {"--spec": ([path["spec.json"]],
+                             [path["config.json"], path["bad.json"], image, box, missing]),
+                  "--out": ([out], [image])},
+        "check": {},
+    }
 
 
 class TestSynthCommand:
@@ -149,6 +188,48 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("prato: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--box", "--spec"])
+    @pytest.mark.parametrize("text", ["{", "\xff"], ids=["truncated", "not-utf8"])
+    def test_malformed_json_is_one_line(self, scene_files, tmp_path, capsys, flag, text):
+        image, box = scene_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode("latin-1"))
+        argv = {"--config": ["prune", "--image", str(image), "--box", str(box), "--config", str(bad)],
+                "--box": ["prune", "--image", str(image), "--box", str(bad)],
+                "--spec": ["sweep", "--spec", str(bad), "--out", str(tmp_path / "out")]}[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"prato: error: {bad}: not valid JSON: ") and err.count("\n") == 1
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_argv_exits_cleanly(self, fuzz_grammar, data):
+        command = data.draw(st.sampled_from([*fuzz_grammar, "bogus"]), label="command")
+        flags = fuzz_grammar.get(command, {})
+        # every flag good, but for at most two that get a bad value, no value or none at all
+        broken = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)
+                           if flags else st.just([]), label="broken")
+        argv = [command]
+        for flag, (good, bad) in flags.items():
+            how = data.draw(st.sampled_from(["bad", "no value", "omit"]), label=flag) \
+                if flag in broken else "good"
+            if how != "omit":
+                argv.append(flag)
+            if how in ("good", "bad"):
+                argv.append(data.draw(st.sampled_from(good if how == "good" else bad)))
+        # no stray positional: after a flag left without a value it would become an --out path
+        argv += data.draw(st.lists(st.sampled_from(["--nope", "--help"]), max_size=1))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                rc = exc.code
+            else:
+                assert rc in (0, 1) or err.getvalue().startswith("prato: error: ")
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_negative_seed_flag_rejected(self, scene_files):
         image, box = scene_files

@@ -1,5 +1,10 @@
 """Encoder block tests: residual identity, equivariance, attention properties."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -72,17 +77,100 @@ class TestBlockedAttention:
             # BLAS edge kernels for a short last block may move the last ulp
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_peak_memory_below_one_score_matrix(self):
+    def test_peak_memory_below_one_score_matrix(self, monkeypatch):
         n = 2048
         x = make_rng(7).normal(size=(n, 64))
         w = init_block_weights(64, 4, seed=7)
-        tracemalloc.start()
-        try:
+        for cores in (1, 2):  # one thread, then two head groups on the pool
+            monkeypatch.setattr(encoder, "_CORES", cores)
+            tracemalloc.start()
+            try:
+                encode_tokens(x, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+
+
+class TestPooledAttention:
+    """Head groups on the worker pool, forced to two groups so one core covers them too."""
+
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    @pytest.mark.parametrize("heads", [1, 3, 4, 8])
+    @pytest.mark.parametrize("n", [257, 300, 513, 768, 1000, 1024])
+    def test_bitwise_equal_to_one_group(self, monkeypatch, n, heads, residual):
+        x = make_rng(n + heads).normal(size=(n, 48))
+        w = init_block_weights(48, heads, seed=heads)
+        monkeypatch.setattr(encoder, "_CORES", 1)
+        serial = encode_tokens(x, w, residual=residual)
+        monkeypatch.setattr(encoder, "_CORES", 2)
+        assert np.array_equal(encode_tokens(x, w, residual=residual), serial)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad_head", [0, 1])  # head 0 runs on the caller, head 1 on a worker
+    def test_error_surfaces_after_every_group(self, monkeypatch, bad_head):
+        monkeypatch.setattr(encoder, "_CORES", 2)
+        x = make_rng(11).normal(size=(600, 32))  # 3 query blocks
+        w = init_block_weights(32, 4, seed=11)
+        w.wq[bad_head] = np.full_like(w.wq[bad_head], np.inf)
+        done = []
+
+        def slow_softmax(m, out=None):
+            time.sleep(0.01)
+            result = softmax_rows(m, out=out)
+            done.append(threading.get_ident())
+            return result
+
+        monkeypatch.setattr(encoder, "softmax_rows", slow_softmax)
+        with pytest.raises(ValidationError):
             encode_tokens(x, w)
-            peak = tracemalloc.get_traced_memory()[1]
+        finished = len(done)
+        time.sleep(0.05)
+        # the other group's two heads ran all 3 blocks; the bad group stopped at its first
+        assert finished == len(done) == 6
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        x = make_rng(13).normal(size=(300, 48))
+        w = init_block_weights(48, 3, seed=13)
+        monkeypatch.setattr(encoder, "_CORES", 1)
+        want = encode_tokens(x, w)
+        monkeypatch.setattr(encoder, "_CORES", 3)
+        monkeypatch.setattr(encoder, "_pool", {})  # a fresh pool of 2 threads, for 4 callers
+        got = [None] * 4
+
+        def call(i):
+            got[i] = encode_tokens(x, w)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+            sys.setswitchinterval(interval)
+            encoder._pool["threads"].shutdown(wait=False)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and np.array_equal(g, want) for g in got)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_a_pooled_block(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_CORES", 2)
+        x = make_rng(12).normal(size=(300, 32))
+        w = init_block_weights(32, 4, seed=12)
+        want = encode_tokens(x, w)  # starts the pool's thread
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                signal.alarm(10)
+                ok = np.array_equal(encode_tokens(x, w), want)
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestElementwiseHelpers:
@@ -138,20 +226,36 @@ class TestAttentionMap:
         want = softmax_rows(logits)
         assert np.abs(got - want).max() < 1e-10
 
-    def test_equals_block_weights_bitwise(self, monkeypatch):
-        x = make_rng(8).normal(size=(20, 16))
-        w = init_block_weights(16, 2, seed=14)  # d_h = 8, whose sqrt is not a power of two
-        applied = []
+    @staticmethod
+    def _applied_and_maps(monkeypatch, n, grid_w):
+        """Per thread, the weights its softmax calls returned in call order; per head, the map."""
+        monkeypatch.setattr(encoder, "_CORES", 2)
+        x = make_rng(8).normal(size=(n, 24))
+        w = init_block_weights(24, 3, seed=14)  # d_h = 8, whose sqrt is not a power of two
+        applied = {}
 
-        def spy(m):
-            applied.append(softmax_rows(m))
-            return applied[-1]
+        def spy(m, out=None):
+            result = softmax_rows(m, out=out)
+            applied.setdefault(threading.get_ident(), []).append(result.copy())
+            return result
 
         monkeypatch.setattr(encoder, "softmax_rows", spy)
         encode_tokens(x, w)
         monkeypatch.undo()
-        for head in range(2):
-            assert np.array_equal(attention_map(_grid(x, 4, 5), w, head), applied[head])
+        maps = [attention_map(_grid(x, n // grid_w, grid_w), w, head) for head in range(3)]
+        caller = np.vstack(applied.pop(threading.get_ident()))
+        return caller, [np.vstack(blocks) for blocks in applied.values()], maps
+
+    def test_equals_block_weights_bitwise(self, monkeypatch):
+        caller, workers, maps = self._applied_and_maps(monkeypatch, 20, 5)
+        assert not workers  # one query block: no pool
+        assert np.array_equal(caller, np.vstack(maps))
+
+    def test_equals_pooled_block_weights_bitwise(self, monkeypatch):
+        # two query blocks on two head groups: {0, 2} on the caller, {1} on the worker
+        caller, (worker,), maps = self._applied_and_maps(monkeypatch, 300, 20)
+        assert np.array_equal(caller, np.vstack([maps[0], maps[2]]))
+        assert np.array_equal(worker, maps[1])
 
     def test_head_out_of_range(self):
         w = init_block_weights(16, 2, seed=10)
