@@ -16,33 +16,26 @@ row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 
-A block over n > ``QUERY_BLOCK`` tokens deals head h to group h mod G, with
-G = min(usable cores, heads). The caller runs group 0 and a module-level
-pool of G - 1 threads the rest, each group in one reused (min(n, 256), n)
-score buffer, and waits for every group before it returns or raises. numpy
-drops the GIL in BLAS and elementwise loops; each head makes the same calls
-as in one thread, so output is bit-identical for every G. A forked child
-drops the inherited pool, whose threads the fork did not copy.
+A block over n > ``QUERY_BLOCK`` tokens spreads its heads across cores with
+:func:`numerics.fan_out`, head h in group h mod G, G = min(usable cores,
+heads). Each group reuses one (min(n, 256), n) score buffer that the caller
+allocates. Each head makes the same numpy calls as in one thread, so output
+is bit-identical for every G.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
+from . import numerics
 from .errors import ShapeError
-from .numerics import as_matrix, gaussian_matrix, layer_norm, make_rng, softmax_rows
+from .numerics import as_matrix, fan_out, gaussian_matrix, layer_norm, make_rng, softmax_rows
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = {}  # "threads": the executor for head groups 1..G-1, set by the first pooled block
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
 
 
 @dataclass
@@ -138,26 +131,22 @@ def _scores(q: np.ndarray, kt: np.ndarray, out=None) -> np.ndarray:
 def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     n, width = x.shape
     d_h = width // w.heads
-    groups = min(_CORES, w.heads) if n > QUERY_BLOCK else 1
     out = np.empty((n, width))
+    # one buffer per fan_out group, allocated here: buffers made on pool threads cost peak RSS
+    bufs = [np.empty((min(n, QUERY_BLOCK), n))
+            for _ in range(min(numerics._CORES, w.heads) if n > QUERY_BLOCK else 1)]
 
-    def run(g, buf):
-        for h in range(g, w.heads, groups):
-            q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
-            for r in range(0, n, QUERY_BLOCK):
-                s = _scores(q[r:r + QUERY_BLOCK], kt, out=buf[:min(QUERY_BLOCK, n - r)])
-                out[r:r + QUERY_BLOCK, h * d_h:(h + 1) * d_h] = softmax_rows(s, out=s) @ v
+    def head(h):
+        q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
+        for r in range(0, n, QUERY_BLOCK):
+            s = _scores(q[r:r + QUERY_BLOCK], kt, out=bufs[h % len(bufs)][:min(QUERY_BLOCK, n - r)])
+            out[r:r + QUERY_BLOCK, h * d_h:(h + 1) * d_h] = softmax_rows(s, out=s) @ v
 
-    # an executor starts no thread before its first task, so a caller losing this race costs nothing
-    pool = _pool.setdefault("threads", ThreadPoolExecutor(groups - 1)) if groups > 1 else None
-    shape = (min(n, QUERY_BLOCK), n)
-    futures = [pool.submit(run, g, np.empty(shape)) for g in range(1, groups)]
-    try:
-        run(0, np.empty(shape))
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    if len(bufs) > 1:
+        fan_out(head, w.heads)
+    else:
+        for h in range(w.heads):
+            head(h)
     return out @ w.wo
 
 

@@ -14,10 +14,56 @@ import json
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = {}  # "threads": the executor of _CORES - 1 threads; one made by a losing racer never starts
+_group = threading.local()  # .active while this thread runs a fan-out group
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
+
+
+def fan_out(fn, count: int) -> list:
+    """Return ``[fn(0), ..., fn(count - 1)]`` in index order, item i run in group i mod G.
+
+    G = min(usable cores, count). The caller runs group 0 and one process-wide pool of
+    ``_CORES - 1`` threads the rest, each group in index order. A fan-out called inside a group
+    runs inline, so nesting never submits work and cannot deadlock. Each group stops at its
+    first error; once every group has finished, the error of the lowest item index is raised,
+    the error a loop over the items raises. Items must not write what other items read.
+    """
+    groups = 1 if getattr(_group, "active", False) else min(_CORES, count)
+    if groups <= 1:  # a loop, which leaves the fan-outs inside it free to use the pool
+        return [fn(i) for i in range(count)]
+    out, failed = [None] * count, {}
+
+    def run(g):
+        _group.active = True
+        try:
+            for i in range(g, count, groups):
+                out[i] = fn(i)
+        except Exception as exc:  # held until every group has finished
+            failed[i] = exc
+        finally:
+            _group.active = False
+
+    pool = _pool.get("threads") or _pool.setdefault("threads", ThreadPoolExecutor(_CORES - 1))
+    futures = [pool.submit(run, g) for g in range(1, groups)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    if failed:
+        raise failed[min(failed)]
+    return out
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a C-contiguous 2-D float64 array, validating finiteness."""

@@ -57,7 +57,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import softmax_rows
+from .numerics import fan_out, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -466,9 +466,10 @@ def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeig
 
 
 def run_batch(images, boxes, cfg: PipelineConfig):
-    """Run the pipeline per image with derived seeds (seed XOR index)."""
-    results = []
-    for i, (img, box) in enumerate(zip(images, boxes)):
-        sub = replace(cfg, seed=cfg.seed ^ i)
-        results.append(run_pipeline(img, box, sub))
-    return results
+    """Run the pipeline per image with derived seeds (seed XOR index); results in image order.
+
+    Images run at once across cores (:func:`numerics.fan_out`). The error of the lowest failing
+    image is raised once every image in flight has finished, as a loop over the images raises it.
+    """
+    pairs = list(zip(images, boxes))
+    return fan_out(lambda i: run_pipeline(*pairs[i], replace(cfg, seed=cfg.seed ^ i)), len(pairs))

@@ -183,14 +183,14 @@ def check_encoder_identity(rng) -> bool:
 def check_attention_rows(rng) -> bool:
     x = rng.normal(size=(encoder.QUERY_BLOCK + 45, 48))
     w = encoder.init_block_weights(48, 3, seed=5)  # pooled: head groups {0, 2} and {1}
-    want, saved, got = attention_oracle(x, w), encoder._CORES, []
+    want, saved, got = attention_oracle(x, w), numerics._CORES, []
     try:
         for cores in (1, 2):
-            encoder._CORES = cores
+            numerics._CORES = cores
             np.full(x.shape, np.nan)  # freed at once, so a skipped group reads NaN, not the last run
             got.append(encoder._attention(x, w))
     finally:
-        encoder._CORES = saved
+        numerics._CORES = saved
     return np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max() and np.array_equal(*got)
 
 

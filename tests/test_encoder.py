@@ -1,8 +1,5 @@
 """Encoder block tests: residual identity, equivariance, attention properties."""
 
-import os
-import signal
-import sys
 import threading
 import time
 import tracemalloc
@@ -10,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prato import encoder
+from prato import encoder, numerics
 from prato.encoder import (
     attention_map,
     encode_tokens,
@@ -82,7 +79,7 @@ class TestBlockedAttention:
         x = make_rng(7).normal(size=(n, 64))
         w = init_block_weights(64, 4, seed=7)
         for cores in (1, 2):  # one thread, then two head groups on the pool
-            monkeypatch.setattr(encoder, "_CORES", cores)
+            monkeypatch.setattr(numerics, "_CORES", cores)
             tracemalloc.start()
             try:
                 encode_tokens(x, w)
@@ -101,15 +98,15 @@ class TestPooledAttention:
     def test_bitwise_equal_to_one_group(self, monkeypatch, n, heads, residual):
         x = make_rng(n + heads).normal(size=(n, 48))
         w = init_block_weights(48, heads, seed=heads)
-        monkeypatch.setattr(encoder, "_CORES", 1)
+        monkeypatch.setattr(numerics, "_CORES", 1)
         serial = encode_tokens(x, w, residual=residual)
-        monkeypatch.setattr(encoder, "_CORES", 2)
+        monkeypatch.setattr(numerics, "_CORES", 2)
         assert np.array_equal(encode_tokens(x, w, residual=residual), serial)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad_head", [0, 1])  # head 0 runs on the caller, head 1 on a worker
     def test_error_surfaces_after_every_group(self, monkeypatch, bad_head):
-        monkeypatch.setattr(encoder, "_CORES", 2)
+        monkeypatch.setattr(numerics, "_CORES", 2)
         x = make_rng(11).normal(size=(600, 32))  # 3 query blocks
         w = init_block_weights(32, 4, seed=11)
         w.wq[bad_head] = np.full_like(w.wq[bad_head], np.inf)
@@ -128,49 +125,6 @@ class TestPooledAttention:
         time.sleep(0.05)
         # the other group's two heads ran all 3 blocks; the bad group stopped at its first
         assert finished == len(done) == 6
-
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        x = make_rng(13).normal(size=(300, 48))
-        w = init_block_weights(48, 3, seed=13)
-        monkeypatch.setattr(encoder, "_CORES", 1)
-        want = encode_tokens(x, w)
-        monkeypatch.setattr(encoder, "_CORES", 3)
-        monkeypatch.setattr(encoder, "_pool", {})  # a fresh pool of 2 threads, for 4 callers
-        got = [None] * 4
-
-        def call(i):
-            got[i] = encode_tokens(x, w)
-
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-            encoder._pool["threads"].shutdown(wait=False)
-        assert not any(t.is_alive() for t in threads)
-        assert all(g is not None and np.array_equal(g, want) for g in got)
-
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_forked_child_runs_a_pooled_block(self, monkeypatch):
-        monkeypatch.setattr(encoder, "_CORES", 2)
-        x = make_rng(12).normal(size=(300, 32))
-        w = init_block_weights(32, 4, seed=12)
-        want = encode_tokens(x, w)  # starts the pool's thread
-        pid = os.fork()
-        if pid == 0:
-            ok = False
-            try:
-                signal.alarm(10)
-                ok = np.array_equal(encode_tokens(x, w), want)
-            finally:
-                os._exit(0 if ok else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestElementwiseHelpers:
@@ -229,7 +183,7 @@ class TestAttentionMap:
     @staticmethod
     def _applied_and_maps(monkeypatch, n, grid_w):
         """Per thread, the weights its softmax calls returned in call order; per head, the map."""
-        monkeypatch.setattr(encoder, "_CORES", 2)
+        monkeypatch.setattr(numerics, "_CORES", 2)
         x = make_rng(8).normal(size=(n, 24))
         w = init_block_weights(24, 3, seed=14)  # d_h = 8, whose sqrt is not a power of two
         applied = {}

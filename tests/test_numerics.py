@@ -4,6 +4,9 @@ import ast
 import math
 import os
 import struct
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prato import numerics
 from prato.errors import ShapeError, ValidationError
 from prato.numerics import (
+    fan_out,
     layer_norm,
     load_matrix_csv,
     logistic,
@@ -285,3 +290,153 @@ def test_library_writes_go_through_open_new():
     offenders = [f"{path.name}:{line}" for path in files
                  for line in _write_opens(ast.parse(path.read_text()))]
     assert offenders == [], f"open a written file with numerics.open_new: {offenders}"
+
+
+_SPAWNERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "start_new_thread",
+             "multiprocessing"}
+
+
+def _concurrency_uses(tree) -> list:
+    """Line numbers that name a thread, pool or process API outside the body of ``fan_out``."""
+    exempt = {id(n) for d in ast.walk(tree)
+              if isinstance(d, ast.FunctionDef) and d.name == "fan_out" for n in ast.walk(d)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "multiprocessing" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a renamed import would hide its uses
+            hit = (node.module or "").split(".")[0] == "multiprocessing" or any(
+                a.name in _SPAWNERS and a.asname for a in node.names)
+        else:
+            hit = getattr(node, "id", getattr(node, "attr", None)) in _SPAWNERS
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_concurrency_guard_flags_spawners_and_spares_fan_out():
+    flagged = _concurrency_uses(ast.parse(
+        "import multiprocessing.pool; from multiprocessing import Pool\n"
+        "from threading import Thread as T; t = threading.Thread(target=f); ThreadPoolExecutor(2)\n"
+        "from concurrent.futures import ThreadPoolExecutor, wait; import threading, os\n"
+        "def fan_out(fn, count):\n"
+        "    return ThreadPoolExecutor(1), threading.Thread, local()\n"))
+    assert flagged == [1, 1, 2, 2, 2]
+
+
+def test_library_concurrency_goes_through_fan_out():
+    """One concurrency path: a second pool would not share fan_out's nesting and error rules."""
+    files = sorted(_SRC.glob("*.py"))
+    assert files
+    offenders = [f"{path.name}:{line}" for path in files
+                 for line in _concurrency_uses(ast.parse(path.read_text()))]
+    assert offenders == [], f"run concurrent work with numerics.fan_out: {offenders}"
+
+
+class TestFanOut:
+    """Group counts are forced through ``numerics._CORES``, so one core covers the pool too."""
+
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_pool", {})
+        yield
+        if "threads" in numerics._pool:
+            numerics._pool["threads"].shutdown(wait=False)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+    def test_index_order_and_groups(self, monkeypatch, fresh_pool, cores, count):
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        thread = {}
+
+        def square(i):
+            thread[i] = threading.get_ident()
+            return i * i
+
+        assert fan_out(square, count) == [i * i for i in range(count)]
+        groups = min(cores, count)
+        assert all(thread[i] == thread[i % groups] for i in range(count))  # group i mod G
+        assert all(thread[i] == threading.get_ident() for i in range(0, count, groups or 1))
+
+    def test_pool_is_sized_by_the_cores_not_the_first_call(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(numerics, "_CORES", 4)
+        assert fan_out(lambda i: i, 2) == [0, 1]  # the first call needs one pool thread
+        meet = threading.Barrier(4, timeout=10)
+
+        def together(i):
+            meet.wait()  # passes only while all four items run at once
+            return threading.get_ident()
+
+        assert len(set(fan_out(together, 4))) == 4
+
+    def test_error_of_the_lowest_index_after_every_group(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(numerics, "_CORES", 3)
+        ran, late, failed = [], threading.Event(), []
+
+        def item(i):
+            ran.append(i)
+            if i == 2:
+                late.set()
+                raise ValidationError("item 2")
+            if i == 4:  # group 1 fails after group 2 did
+                late.wait(10)
+                time.sleep(0.05)
+                failed.append(i)
+                raise ShapeError("item 4")
+            return i
+
+        with pytest.raises(ValidationError, match="item 2"):
+            fan_out(item, 9)
+        assert failed == [4]  # raised once the slow group finished
+        # each failed group stopped at its first error; group 0 ran to the end
+        assert sorted(ran) == [0, 1, 2, 3, 4, 6]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_nested_fan_out_runs_inline(self, monkeypatch, in_child):
+        monkeypatch.setattr(numerics, "_CORES", 2)
+
+        def nest():
+            threads = fan_out(lambda i: fan_out(lambda j: threading.get_ident(), 3), 2)
+            return all(len(set(t)) == 1 for t in threads) and len({t[0] for t in threads}) == 2
+
+        # one pool thread: a nested fan-out that submitted from it would wait on itself
+        assert in_child(nest)
+        assert nest()
+        assert not numerics._group.active  # the caller's flag is reset
+        # a one-group fan-out is a plain loop: the fan-outs inside it still use the pool
+        assert len(set(fan_out(lambda i: fan_out(lambda j: threading.get_ident(), 2), 1)[0])) == 2
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(numerics, "_CORES", 3)  # a pool of 2 threads, for 4 callers
+        x = make_rng(13).normal(size=(64, 64))
+
+        def item(i):
+            return softmax_rows(x * (i + 1)) @ x
+
+        want = [item(i) for i in range(5)]
+        got = [None] * 4
+
+        def call(c):
+            got[c] = fan_out(item, 5)
+
+        threads = [threading.Thread(target=call, args=(c,)) for c in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and all(np.array_equal(a, b) for a, b in zip(g, want))
+                   for g in got)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_a_fan_out(self, monkeypatch, in_child):
+        monkeypatch.setattr(numerics, "_CORES", 2)
+        assert fan_out(lambda i: i, 2) == [0, 1]  # starts the process pool's thread
+        assert in_child(lambda: fan_out(lambda i: 3 * i, 4) == [0, 3, 6, 9])

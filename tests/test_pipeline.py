@@ -1,6 +1,7 @@
 """Pipeline tests: cost model recounts, retention laws, perturbations, determinism."""
 
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prato.errors import ConfigurationError, EmptyRetentionError, PratoError
+from prato import numerics, pipeline
+from prato.errors import ConfigurationError, EmptyRetentionError, PratoError, ValidationError
 from prato.numerics import make_rng
 from prato.pipeline import (
     PipelineConfig,
@@ -317,6 +319,48 @@ class TestHelpers:
             np.savetxt(path, scene.image[0], fmt="%.17g", delimiter=",")
         from_csv = run_batch([load_plane_csv(p) for p in paths], boxes, cfg)
         assert [r[2] for r in from_csv] == [r[2] for r in results]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_run_batch_raises_the_first_failing_image(self, monkeypatch, cores):
+        scenes = [generate_scene("ellipse", 64, seed=s) for s in range(4)]
+        images = [s.image for s in scenes]
+        images[1] = np.full_like(images[1], np.nan)  # ValidationError, on the pool at G = 2
+        images[2] = generate_scene("ellipse", 72, seed=2).image  # ConfigurationError, caller
+        log, real = [], pipeline.run_pipeline
+
+        def spy(img, box, cfg):
+            log.append(("start", cfg.seed))
+            try:
+                if cfg.seed == 1:
+                    time.sleep(0.05)  # image 1 fails after image 2 did
+                return real(img, box, cfg)
+            finally:
+                log.append(("end", cfg.seed))
+
+        monkeypatch.setattr(pipeline, "run_pipeline", spy)
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        with pytest.raises(ValidationError, match="non-finite"):
+            run_batch(images, [s.tight_box for s in scenes], PipelineConfig(depth=2, seed=0))
+        started = sorted(i for event, i in log if event == "start")
+        # a loop stops at image 1; the other group (images 0, 2) also ran, and no call is in flight
+        assert started == ([0, 1] if cores == 1 else [0, 1, 2])
+        assert sorted(i for event, i in log if event == "end") == started
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_run_batch_of_pooled_blocks_matches_one_group(self, monkeypatch, in_child):
+        # n = 1024 > QUERY_BLOCK: each image's head fan-outs nest inside the batch's
+        scenes = [generate_scene(kind, 512, seed=s) for s, kind in enumerate(("ellipse", "blob"))]
+        args = ([s.image for s in scenes], [s.tight_box for s in scenes], PipelineConfig(seed=3))
+        monkeypatch.setattr(numerics, "_CORES", 1)
+        want = run_batch(*args)
+        monkeypatch.setattr(numerics, "_CORES", 2)
+
+        def same():  # a nested fan-out that reached the one pool thread would wait on itself
+            return all(np.array_equal(g[0].tokens, w[0].tokens) and g[2] == w[2]
+                       and np.array_equal(g[0].retained_coords, w[0].retained_coords)
+                       for g, w in zip(run_batch(*args), want))
+
+        assert in_child(same)
 
 
 def _assert_same_run(a, b):
