@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import fan_out, make_rng, open_new
+from .numerics import make_rng, open_new
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -232,11 +232,10 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     weights and encoded prefix are computed once and shared by all its
     cells; a prefix failure is recorded in every cell of that seed.
     Rows are written policy, then k, then perturbation, then seed.
-    A seed's cells run across cores (:func:`numerics.fan_out`); any other error raises as in a loop.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
-    by_seed = []
+    rows = [[None] * spec.seeds for _ in cells]
     for s in range(spec.seeds):
         scene_seed = spec.base_seed ^ s
         scene = generate_scene(spec.target_kind, spec.size, scene_seed)
@@ -245,8 +244,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
             prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
         except Exception as exc:  # recorded in every cell of this seed
             prefix_error = f"{type(exc).__name__}: {exc}"
-
-        def cell(policy, k, pert):
+        for i, (policy, k, pert) in enumerate(cells):
             pert_rng = make_rng(scene_seed ^ 0x5EED)
             box = perturb_prompt(scene.tight_box, pert, pert_rng)
             row = {
@@ -281,10 +279,8 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
             if error:
                 row.update({c: "" for c in CSV_COLUMNS if c not in row})
                 row["error"] = error
-            return row
-
-        by_seed.append(fan_out(lambda i: cell(*cells[i]), len(cells)))
-    rows = [row for per_cell in zip(*by_seed) for row in per_cell]
+            rows[i][s] = row
+    rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open_new(csv_path, newline="") as f:

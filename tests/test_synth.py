@@ -2,13 +2,11 @@
 
 import csv
 import io
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import prato.numerics
 import prato.pipeline
 import prato.synth
 from prato.errors import ConfigurationError, ValidationError
@@ -226,17 +224,6 @@ class TestRunSweep:
         content = (tmp_path / "sweep.csv").read_text()
         assert "ConfigurationError" in content
 
-    def test_bytes_do_not_depend_on_the_group_count(self, tmp_path, monkeypatch):
-        spec = _small_spec(k_values=[0, 3], seeds=2, perturbations=[
-            PromptPerturbation("tight"), PromptPerturbation("partial", 0.5),
-            PromptPerturbation("misleading")])
-        for cores in (1, 2):
-            monkeypatch.setattr(prato.numerics, "_CORES", cores)
-            summary = run_sweep(spec, tmp_path / str(cores))
-        assert summary["failed_rows"] == 6  # the k = 0 rows
-        for name in ("sweep.csv", "summary.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
     def test_bad_k_is_an_error_row(self, tmp_path):
         spec = _small_spec(k_values=[0, 3], seeds=2)
         summary = run_sweep(spec, tmp_path)
@@ -347,14 +334,13 @@ class TestSweepPrefixReuse:
 
     @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
     def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing):
-        calls, lock = {}, threading.Lock()  # cells run on more than one thread
+        calls = {}
 
         def counting(module, name):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                with lock:
-                    calls[name] = calls.get(name, 0) + 1
+                calls[name] = calls.get(name, 0) + 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
