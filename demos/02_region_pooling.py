@@ -23,12 +23,12 @@ print(f"lands on grid coordinates ({gbox.x1:.2f}, {gbox.y1:.2f}) .. ({gbox.x2:.2
 print("the edges cut through cells, so hard token selection would misalign\n")
 
 region = roi_align(grid, gbox, k=3, sampling_ratio=2)
-print(f"pooled region feature: {region.data.shape} (k*k rows)")
+print(f"pooled region feature: {region.shape} (k*k rows)")
 print("bin values on the x-ramp map (each equals the mean sampled x):")
 for by in range(3):
-    print("   " + " ".join(f"{region.data[by * 3 + bx, 0]:.3f}" for bx in range(3)))
+    print("   " + " ".join(f"{region[by * 3 + bx, 0]:.3f}" for bx in range(3)))
 
 # pooling a constant map returns the constant, whatever the box
 const = TokenGrid(tokens=np.full((64, 1), 0.5), grid_h=8, grid_w=8)
 out = roi_align(const, gbox, k=5)
-print(f"\nconstant map pools to the constant exactly: {bool(np.all(out.data == 0.5))}")
+print(f"\nconstant map pools to the constant exactly: {bool(np.all(out == 0.5))}")

@@ -19,7 +19,7 @@ from .errors import (
 from .numerics import layer_norm, logistic, make_rng, softmax_rows
 from .tokens import EmbedderWeights, TokenGrid, embed_tokens, make_embedder, patchify, tokenize_image
 from .encoder import BlockWeights, attention_map, encode_tokens, init_block_weights
-from .roi import BoxPrompt, GridBox, RegionFeature, map_box_to_grid, roi_align
+from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .prune import (
     Projections,
     PrunedTokens,

@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     from .selfcheck import run_all
 
-    return 0 if run_all(verbose=True) else 1
+    return 0 if run_all() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

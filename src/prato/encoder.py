@@ -9,7 +9,7 @@ spanning both sublayers:
 layout (x + attn(LN(x)), then + ffn(LN(.))). Attention is softmax(Q K^T
 / sqrt(d_h)) V per head, heads concatenated and output-projected; the
 feed-forward uses a GELU between a 4x expansion and contraction. No
-bias terms.
+bias terms, and LN has no affine scale or shift.
 
 Each head walks the queries in blocks of ``QUERY_BLOCK`` (256) rows; a
 row's softmax needs only its own scores, so this is exact with no online
@@ -25,7 +25,7 @@ is bit-identical for every G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -40,7 +40,7 @@ QUERY_BLOCK = 256
 
 @dataclass
 class BlockWeights:
-    """Per-head QKV projections, output projection, FFN, and LN affine pairs."""
+    """Per-head QKV projections, output projection and FFN of one block."""
 
     wq: list  # h matrices, each (width, d_h)
     wk: list
@@ -48,10 +48,6 @@ class BlockWeights:
     wo: np.ndarray  # (width, width)
     ffn_in: np.ndarray  # (width, 4*width)
     ffn_out: np.ndarray  # (4*width, width)
-    ln1_gamma: np.ndarray = field(default=None)
-    ln1_beta: np.ndarray = field(default=None)
-    ln2_gamma: np.ndarray = field(default=None)
-    ln2_beta: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.wq = [as_matrix(w, "wq") for w in self.wq]
@@ -75,16 +71,6 @@ class BlockWeights:
                 f"ffn shapes {self.ffn_in.shape}/{self.ffn_out.shape} do not match "
                 f"({width}, {4 * width})/({4 * width}, {width})"
             )
-        ones = np.ones(width)
-        zeros = np.zeros(width)
-        if self.ln1_gamma is None:
-            self.ln1_gamma = ones.copy()
-        if self.ln1_beta is None:
-            self.ln1_beta = zeros.copy()
-        if self.ln2_gamma is None:
-            self.ln2_gamma = ones.copy()
-        if self.ln2_beta is None:
-            self.ln2_beta = zeros.copy()
 
     @property
     def heads(self) -> int:
@@ -105,7 +91,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def init_block_weights(width: int, heads: int, seed: int = 0, std: float = 0.02) -> BlockWeights:
-    """Seeded Gaussian initialization, LN affine at identity."""
+    """Seeded Gaussian initialization of every projection."""
     if width % heads != 0:
         raise ShapeError(f"embed width {width} is not divisible by {heads} heads")
     d_h = width // heads
@@ -161,21 +147,21 @@ def encode_tokens(
     if x.shape[1] != w.width:
         raise ShapeError(f"token width {x.shape[1]} does not match block width {w.width}")
     if residual == "block":
-        inner = _attention(layer_norm(x, w.ln1_gamma, w.ln1_beta, ln_eps), w)
-        mixed = layer_norm(inner, w.ln2_gamma, w.ln2_beta, ln_eps)
+        inner = _attention(layer_norm(x, ln_eps), w)
+        mixed = layer_norm(inner, ln_eps)
         return gelu(mixed @ w.ffn_in) @ w.ffn_out + x
     if residual == "sublayer":
-        x = x + _attention(layer_norm(x, w.ln1_gamma, w.ln1_beta, ln_eps), w)
-        h = layer_norm(x, w.ln2_gamma, w.ln2_beta, ln_eps)
+        x = x + _attention(layer_norm(x, ln_eps), w)
+        h = layer_norm(x, ln_eps)
         return x + gelu(h @ w.ffn_in) @ w.ffn_out
     raise ShapeError(f"unknown residual mode {residual!r}")
 
 
-def attention_map(grid: TokenGrid, w: BlockWeights, head: int, ln_eps: float = 1e-6) -> np.ndarray:
+def attention_map(grid: TokenGrid, w: BlockWeights, head: int) -> np.ndarray:
     """Row-stochastic (Z, Z) attention matrix of one head, as ``encode_tokens`` applies it."""
     if not 0 <= head < w.heads:
         raise IndexError(f"head {head} out of range for {w.heads} heads")
-    x = layer_norm(grid.tokens, w.ln1_gamma, w.ln1_beta, ln_eps)
+    x = layer_norm(grid.tokens)
     q, kt = x @ w.wq[head], (x @ w.wk[head]).T
     return np.vstack([softmax_rows(_scores(q[r:r + QUERY_BLOCK], kt))
                       for r in range(0, grid.z, QUERY_BLOCK)])

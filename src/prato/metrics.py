@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ShapeError, UndefinedMetricError, ValidationError
 
 PRED_FLOOR = 1e-12
+DICE_EPS = 1e-5  # smoothing of each class's dice term (2I + eps) / (T + eps)
 
 
 def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -38,14 +39,14 @@ def one_hot(truth: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[truth]
 
 
-def dice_loss(pred, truth, eps: float = 1e-5) -> float:
+def dice_loss(pred, truth) -> float:
     """Soft multi-class overlap loss, N minus the summed smoothed dice terms."""
     pred, truth = _check_pair(pred, truth)
     n = pred.shape[2]
     y = one_hot(truth, n)
     inter = (pred * y).sum(axis=(0, 1))
     total = (pred + y).sum(axis=(0, 1))
-    terms = (2.0 * inter + eps) / (total + eps)
+    terms = (2.0 * inter + DICE_EPS) / (total + DICE_EPS)
     return float(n - terms.sum())
 
 
@@ -58,11 +59,11 @@ def ce_loss(pred, truth) -> float:
     return float(-(y * np.log(clamped)).sum() / (h * w))
 
 
-def combo_loss(pred, truth, eps: float = 1e-5) -> float:
-    return dice_loss(pred, truth, eps) + ce_loss(pred, truth)
+def combo_loss(pred, truth) -> float:
+    return dice_loss(pred, truth) + ce_loss(pred, truth)
 
 
-def loss_gradient(pred, truth, eps: float = 1e-5) -> np.ndarray:
+def loss_gradient(pred, truth) -> np.ndarray:
     """Analytic d(combo)/d(pred) per pixel per class; pred must be interior."""
     pred, truth = _check_pair(pred, truth)
     if np.any(pred <= 0.0) or np.any(pred >= 1.0):
@@ -72,8 +73,8 @@ def loss_gradient(pred, truth, eps: float = 1e-5) -> np.ndarray:
     inter = (pred * y).sum(axis=(0, 1))  # per class
     total = (pred + y).sum(axis=(0, 1))
     # dice term (2I+eps)/(T+eps): d/dp = (2y(T+eps) - (2I+eps)) / (T+eps)^2
-    denom = (total + eps) ** 2
-    d_dice_term = (2.0 * y * (total + eps) - (2.0 * inter + eps)) / denom
+    denom = (total + DICE_EPS) ** 2
+    d_dice_term = (2.0 * y * (total + DICE_EPS) - (2.0 * inter + DICE_EPS)) / denom
     grad_dice = -d_dice_term
     grad_ce = -y / (pred * h * w)
     return grad_dice + grad_ce
@@ -115,13 +116,11 @@ def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.asarray(d, dtype=np.float64)
 
 
-def hd95_metric(pred_hard, truth, cls: int, form: str = "percentile") -> float:
+def hd95_metric(pred_hard, truth, cls: int) -> float:
     """Boundary distance between the two class regions, in pixels.
 
-    ``percentile`` (default) takes the 95th percentile, linear
-    interpolation, of the pooled directed point-to-set distances in
-    both directions. ``max`` takes the symmetric maximum instead (the
-    classic worst-case distance) for comparison.
+    The 95th percentile, linear interpolation, of the pooled directed
+    point-to-set distances in both directions.
     """
     pred_hard = np.asarray(pred_hard)
     truth = np.asarray(truth)
@@ -133,10 +132,6 @@ def hd95_metric(pred_hard, truth, cls: int, form: str = "percentile") -> float:
         raise UndefinedMetricError(f"class {cls} region is empty; boundary distance undefined")
     d_ab = _directed_distances(a, b)
     d_ba = _directed_distances(b, a)
-    if form == "max":
-        return float(max(d_ab.max(), d_ba.max()))
-    if form != "percentile":
-        raise ValidationError(f"unknown form {form!r}")
     return float(np.percentile(np.concatenate([d_ab, d_ba]), 95))
 
 

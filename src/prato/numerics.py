@@ -84,24 +84,15 @@ def softmax_rows(m, out=None) -> np.ndarray:
     return e
 
 
-def layer_norm(m, gamma, beta, eps: float = 1e-6) -> np.ndarray:
-    """Normalize each row to mean 0, variance 1, then apply the affine map."""
+def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
+    """Normalize each row to mean 0, variance 1; there is no affine scale or shift."""
     m = as_matrix(m, "m")
-    gamma = np.asarray(gamma, dtype=np.float64).ravel()
-    beta = np.asarray(beta, dtype=np.float64).ravel()
-    if gamma.size != m.shape[1] or beta.size != m.shape[1]:
-        raise ShapeError(
-            f"affine parameters of length {gamma.size}/{beta.size} "
-            f"do not match {m.shape[1]} columns"
-        )
     if eps <= 0:
         raise ValidationError("eps must be positive")
     mean = m.mean(axis=1, keepdims=True)
     var = m.var(axis=1, keepdims=True)
     out = m - mean
     out /= np.sqrt(var + eps)
-    out *= gamma
-    out += beta
     return out
 
 

@@ -143,13 +143,22 @@ class PipelineConfig:
         }
 
 
-# config-file keys and their parsers; tau_mode and tau_value make the policy
+def parse_int(value, key: str) -> int:
+    """A JSON integer, or a float with no fractional part; anything else, bools too, raises."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+# config-file keys and their parsers (value, key); tau_mode and tau_value make the policy
 _CONFIG_FIELDS = {
     **dict.fromkeys(("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
-                     "sampling_ratio", "seed"), int),
-    **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied"), lambda v: v),
-    "ln_eps": float,
-    "stage_indices": lambda v: tuple(int(s) for s in v),
+                     "sampling_ratio", "seed"), parse_int),
+    **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied"), lambda v, key: v),
+    "ln_eps": lambda v, key: float(v),
+    "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in v),
 }
 
 
@@ -162,7 +171,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
     try:
         policy = ThresholdPolicy(d.get("tau_mode", "percentile"), float(d.get("tau_value", 25.0)))
         # stage_indices stays unset unless given, so the default tracks the depth
-        kwargs = {k: parse(d[k]) for k, parse in _CONFIG_FIELDS.items() if k in d}
+        kwargs = {k: parse(d[k], k) for k, parse in _CONFIG_FIELDS.items() if k in d}
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from None
     return PipelineConfig(policy=policy, **kwargs)
@@ -329,17 +338,14 @@ def prato_score(
     """
     gbox = map_box_to_grid(box, grid.grid_h, grid.grid_w)
     region = roi_align(grid, gbox, k, sampling_ratio)
-    similarity = compute_similarity(region, grid if tokens is None else tokens, proj)
-    probs = softmax_rows(similarity)
-    entropies = entropy_rows(probs)
-    ranks, weights = inverse_entropy_weights(entropies)
+    similarity = compute_similarity(region, grid.tokens if tokens is None else tokens, proj)
+    entropies = entropy_rows(softmax_rows(similarity))
+    _, weights = inverse_entropy_weights(entropies)
     relevance = relevance_scores(similarity, weights)
     mask, tau = build_mask(relevance, policy)
     return RelevanceBundle(
         similarity=similarity,
-        probs=probs,
         entropies=entropies,
-        ranks=ranks,
         weights=weights,
         relevance=relevance,
         mask=mask,
@@ -470,6 +476,9 @@ def run_batch(images, boxes, cfg: PipelineConfig):
 
     Images run at once across cores (:func:`numerics.fan_out`). The error of the lowest failing
     image is raised once every image in flight has finished, as a loop over the images raises it.
+    Unequal numbers of images and boxes raise ShapeError before any image runs.
     """
+    if len(images) != len(boxes):
+        raise ShapeError(f"{len(images)} images do not pair with {len(boxes)} boxes")
     pairs = list(zip(images, boxes))
     return fan_out(lambda i: run_pipeline(*pairs[i], replace(cfg, seed=cfg.seed ^ i)), len(pairs))

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .numerics import as_matrix, gaussian_matrix, logistic, make_rng
-from .roi import RegionFeature
-from .tokens import TokenGrid
 
 
 @dataclass
@@ -92,10 +90,8 @@ class RelevanceBundle:
     """
 
     similarity: np.ndarray  # (M, N)
-    probs: np.ndarray  # (M, N), softmax of similarity rows
-    entropies: np.ndarray  # (M,), bits
-    ranks: np.ndarray  # (M,), normalized ascending entropy ranks in [0, 1]
-    weights: np.ndarray  # (M,), inverse rank weights in [0, 1]
+    entropies: np.ndarray  # (M,), bits, of the softmax of each similarity row
+    weights: np.ndarray  # (M,), inverse entropy-rank weights in [0, 1]
     relevance: np.ndarray  # (N,)
     mask: np.ndarray  # (N,), values in {0, 1}
     tau_effective: float
@@ -121,10 +117,10 @@ class PrunedTokens:
         return self.retained_coords.shape[0]
 
 
-def compute_similarity(region, grid, proj: Projections) -> np.ndarray:
-    """Scaled dot products between projected region vectors and projected tokens."""
-    f = region.data if isinstance(region, RegionFeature) else as_matrix(region, "region")
-    y = grid.tokens if isinstance(grid, TokenGrid) else as_matrix(grid, "tokens")
+def compute_similarity(region, tokens, proj: Projections) -> np.ndarray:
+    """Scaled dot products between projected (M, C) region rows and projected (N, C) tokens."""
+    f = as_matrix(region, "region")
+    y = as_matrix(tokens, "tokens")
     if f.shape[1] != proj.f1.shape[0] or y.shape[1] != proj.f2.shape[0]:
         raise ShapeError(
             f"feature widths {f.shape[1]}/{y.shape[1]} do not match projection "

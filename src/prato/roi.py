@@ -44,10 +44,16 @@ class BoxPrompt:
 
 
 def box_from_dict(d: dict) -> BoxPrompt:
+    """A box from a JSON object of four numbers; any other record raises ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"box record must be a JSON object, got {type(d).__name__}")
     try:
-        return BoxPrompt(float(d["x1"]), float(d["y1"]), float(d["x2"]), float(d["y2"]))
+        coords = [float(d[name]) for name in ("x1", "y1", "x2", "y2")]
     except KeyError as exc:
-        raise ValidationError(f"box record is missing field {exc}") from exc
+        raise ValidationError(f"box record is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad box record value: {exc}") from None
+    return BoxPrompt(*coords)
 
 
 def load_box(path) -> BoxPrompt:
@@ -75,21 +81,6 @@ class GridBox:
     @property
     def height(self) -> float:
         return self.y2 - self.y1
-
-
-@dataclass
-class RegionFeature:
-    """k x k pooled region summary stored as an (M, width) matrix, M = k*k.
-
-    Rows are in row-major bin order: bin (by, bx) sits at row by*k + bx.
-    """
-
-    k: int
-    data: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.k * self.k
 
 
 def map_box_to_grid(box: BoxPrompt, grid_h: int, grid_w: int) -> GridBox:
@@ -132,13 +123,14 @@ def _bilinear(fmap: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) -> RegionFeature:
-    """Pool the box into a k x k feature summary by averaged bilinear samples.
+def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) -> np.ndarray:
+    """Pool the box into a (k*k, C) region array by averaged bilinear samples.
 
     The box is split into k x k equal bins; each bin is probed at
     sampling_ratio^2 regularly spaced interior points, every probe
     bilinearly interpolated from the four nearest cell centers, and the
-    bin value is the mean of its probes.
+    bin value is the mean of its probes. Rows are in row-major bin
+    order: bin (by, bx) is row by*k + bx.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -163,5 +155,4 @@ def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) ->
     yy = np.broadcast_to(ys[:, None, :, None], (k, k, n, n))
     xx = np.broadcast_to(xs[None, :, None, :], (k, k, n, n))
     samples = _bilinear(fmap, yy, xx)  # (k, k, n, n, C)
-    pooled = samples.mean(axis=(2, 3)).reshape(k * k, grid.width)
-    return RegionFeature(k=k, data=pooled)
+    return samples.mean(axis=(2, 3)).reshape(k * k, grid.width)

@@ -72,10 +72,10 @@ def check_roi_align(rng) -> bool:
     fmap = rng.random((8, 8, 4))
     grid = TokenGrid(tokens=fmap.reshape(64, 4), grid_h=8, grid_w=8)
     const = TokenGrid(tokens=np.full((64, 4), 0.7), grid_h=8, grid_w=8)
-    out = roi.roi_align(const, GridBox(1.3, 2.1, 5.7, 6.2), k=5).data
+    out = roi.roi_align(const, GridBox(1.3, 2.1, 5.7, 6.2), k=5)
     if not np.all(out == 0.7):
         return False
-    got = roi.roi_align(grid, GridBox(1.3, 2.1, 5.7, 6.2), k=5, sampling_ratio=2).data
+    got = roi.roi_align(grid, GridBox(1.3, 2.1, 5.7, 6.2), k=5, sampling_ratio=2)
     want = roi_oracle(fmap, (1.3, 2.1, 5.7, 6.2), 5, 2)
     return np.abs(got - want).max() < 1e-9
 
@@ -218,7 +218,8 @@ CHECKS = [
 ]
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
+    """Run every check in ``CHECKS`` and print one ``ok`` or ``FAIL`` line each; True if all pass."""
     rng = np.random.Generator(np.random.Philox(20240817))
     all_ok = True
     for name, fn in CHECKS:
@@ -226,11 +227,8 @@ def run_all(verbose: bool = True) -> bool:
             ok = fn(rng)
         except Exception as exc:
             ok = False
-            if verbose:
-                print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-            all_ok = False
-            continue
-        if verbose:
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+        else:
             print(("ok   " if ok else "FAIL ") + name)
         all_ok &= ok
     return all_ok

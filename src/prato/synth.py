@@ -1,6 +1,6 @@
 """Synthetic scenes with known targets, and the sweep harness over them.
 
-Scenes are single-channel by default: a noisy dark background with one
+Scenes are single-channel: a noisy dark background with one
 bright target shape (ellipse, rectangle, or a blob built from
 overlapping ellipses). The ground-truth mask marks target pixels and
 the tight box is the exact bounding box of that mask, so every scene
@@ -25,6 +25,7 @@ from .pipeline import (
     box_iou,
     config_from_dict,
     encode_prefix,
+    parse_int,
     perturb_prompt,
     run_pipeline,
     token_in_box_mask,
@@ -105,7 +106,7 @@ def _target_mask(kind: str, h: int, w: int, rng: np.random.Generator) -> np.ndar
     raise ConfigurationError(f"unknown target kind {kind!r}")
 
 
-def generate_scene(kind: str, size: int, seed: int, channels: int = 1) -> Scene:
+def generate_scene(kind: str, size: int, seed: int) -> Scene:
     """Deterministic textured scene with one bright target and its tight box."""
     if kind not in TARGET_KINDS:
         raise ConfigurationError(f"unknown target kind {kind!r}")
@@ -114,8 +115,8 @@ def generate_scene(kind: str, size: int, seed: int, channels: int = 1) -> Scene:
         raise ConfigurationError(f"scene size {h} must lie in [{SCENE_SIZE_MIN}, {SCENE_SIZE_MAX}]")
     rng = make_rng(seed)
     truth = _target_mask(kind, h, w, rng).astype(np.int64)
-    background = 0.05 + 0.3 * rng.random((channels, h, w))
-    foreground = 0.75 + 0.2 * rng.random((channels, h, w))
+    background = 0.05 + 0.3 * rng.random((1, h, w))
+    foreground = 0.75 + 0.2 * rng.random((1, h, w))
     image = np.where(truth[None, :, :] == 1, foreground, background)
     return Scene(image=image, truth=truth, tight_box=tight_box(truth),
                  target_kind=kind, seed=seed)
@@ -181,8 +182,9 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
             PromptPerturbation(p["kind"], float(p.get("magnitude", _default_magnitude(p["kind"]))))
             for p in d["perturbations"]
         ]
-        scalars = dict(k_values=[int(k) for k in d["k_values"]], seeds=int(d["seeds"]),
-                       size=int(d.get("size", 128)), base_seed=int(d.get("base_seed", 0)),
+        scalars = dict(k_values=[parse_int(k, "k_values") for k in d["k_values"]],
+                       seeds=parse_int(d["seeds"], "seeds"), size=parse_int(d.get("size", 128), "size"),
+                       base_seed=parse_int(d.get("base_seed", 0), "base_seed"),
                        target_kind=str(d.get("target_kind", "ellipse")))
     except KeyError as exc:
         raise ConfigurationError(f"sweep spec record is missing field {exc}") from None

@@ -124,16 +124,15 @@ def make_embedder(
     grid_w: int,
     seed: int = 0,
     positional: str = "sinusoidal",
-    proj_std: float = 0.02,
 ) -> EmbedderWeights:
-    """Build embedding weights: seeded Gaussian projection, fixed or learned positions."""
+    """Build embedding weights: seeded N(0, 0.02^2) projection, fixed or learned positions."""
     rng = make_rng(seed)
-    proj = gaussian_matrix(rng, channels * patch_size * patch_size, width, proj_std)
+    proj = gaussian_matrix(rng, channels * patch_size * patch_size, width, 0.02)
     z = grid_h * grid_w
     if positional == "sinusoidal":
         pos = sinusoidal_positions(z, width)
     elif positional == "learned":
-        pos = gaussian_matrix(rng, z, width, proj_std)
+        pos = gaussian_matrix(rng, z, width, 0.02)
     elif positional == "none":
         pos = np.zeros((z, width))
     else:

@@ -161,7 +161,7 @@ def test_criterion_06_roi_align_oracle():
         x1, y1 = rng.uniform(0, w - 1), rng.uniform(0, h - 1)
         x2, y2 = rng.uniform(x1 + 0.2, w), rng.uniform(y1 + 0.2, h)
         k, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
-        got = roi_align(grid, GridBox(x1, y1, x2, y2), k, n).data
+        got = roi_align(grid, GridBox(x1, y1, x2, y2), k, n)
         want = roi_oracle(fmap, (x1, y1, x2, y2), k, n)
         worst = max(worst, float(np.abs(got - want).max()))
     const_ok = True
@@ -169,7 +169,7 @@ def test_criterion_06_roi_align_oracle():
     for _ in range(200):
         x1, y1 = rng.uniform(0, 6, size=2)
         box = GridBox(x1, y1, rng.uniform(x1 + 0.1, 7), rng.uniform(y1 + 0.1, 7))
-        out = roi_align(const, box, int(rng.integers(1, 7))).data
+        out = roi_align(const, box, int(rng.integers(1, 7)))
         const_ok &= bool(np.all(out == 1.25))
     _report(6, "region pooling matches the dense bilinear oracle (500 triples)",
             worst < 1e-9 and const_ok, time.time() - t0, 5, f"max |diff| {worst:.2e}")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prato import selfcheck
 from prato.cli import main
 from prato.synth import generate_scene, save_scene
 
@@ -174,16 +175,26 @@ class TestErrors:
         (["sweep"], {"k_values": None}),
         (["sweep"], {"sizee": 64}),
         (["sweep"], {"policies": [{"value": 25}]}),
+        (["prune"], [0.1, 0.1, 0.5, 0.5]),
+        (["prune"], {"x1": "a", "y1": 0.1, "x2": 0.5, "y2": 0.5}),
+        (["prune"], {"x1": None, "y1": 0.1, "x2": 0.5, "y2": 0.5}),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
-            "spec-unknown-key", "spec-policy-without-mode"])
-    def test_bad_input_is_one_line(self, tmp_path, capsys, argv, spec):
-        if spec is not None:
+            "spec-unknown-key", "spec-policy-without-mode", "box-list", "box-text-coordinate",
+            "box-null-coordinate"])
+    def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
+        if argv == ["prune"]:  # spec is the box record
+            path = tmp_path / "box.json"
+            path.write_text(json.dumps(spec))
+            argv = argv + ["--image", str(scene_files[0]), "--box", str(path)]
+        elif spec is not None:
             full = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
                     "perturbations": [{"kind": "tight"}], "seeds": 1, "size": 64, **spec}
             path = tmp_path / "spec.json"
             path.write_text(json.dumps({k: v for k, v in full.items() if v is not None}))
-            argv = argv + ["--spec", str(path)]
-        rc = main(argv + ["--out", str(tmp_path / "out")])
+            argv = argv + ["--spec", str(path), "--out", str(tmp_path / "out")]
+        else:
+            argv = argv + ["--out", str(tmp_path / "out")]
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("prato: error: ") and err.count("\n") == 1
@@ -264,5 +275,14 @@ class TestCheckCommand:
         rc = main(["check"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("ok") >= 10
+        assert out.splitlines() == [f"ok   {name}" for name, _ in selfcheck.CHECKS]
+
+    def test_check_prints_each_failure(self, capsys, monkeypatch):
+        def broken(rng):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selfcheck, "CHECKS", [("raises", broken), ("false", lambda rng: False),
+                                                  ("true", lambda rng: True)])
+        assert main(["check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL raises: RuntimeError: boom", "FAIL false", "ok   true"]

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prato import numerics, pipeline
-from prato.errors import ConfigurationError, EmptyRetentionError, PratoError, ValidationError
+from prato.errors import (
+    ConfigurationError,
+    EmptyRetentionError,
+    PratoError,
+    ShapeError,
+    ValidationError,
+)
 from prato.numerics import make_rng
 from prato.pipeline import (
     PipelineConfig,
@@ -281,10 +287,19 @@ class TestHelpers:
         ({"proj_tied": "false"}, "proj_tied"),
         ({"heads": 0}, "heads"),
         ([{"depth": 2}], "config must be a JSON object, got list"),
+        ({"patch_size": 16.9}, "patch_size must be an integer, got 16.9"),
+        ({"depth": True}, "depth must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"stage_indices": [1.6]}, "stage_indices must be an integer, got 1.6"),
     ])
     def test_config_from_dict_rejects(self, d, match):
         with pytest.raises(ConfigurationError, match=match):
             config_from_dict(d)
+
+    def test_config_from_dict_takes_whole_floats(self):
+        cfg = config_from_dict({"depth": 2.0, "patch_size": 8, "stage_indices": [1.0]})
+        assert (cfg.depth, cfg.patch_size, cfg.stage_indices) == (2, 8, (1,))
+        assert type(cfg.depth) is int and type(cfg.stage_indices[0]) is int
 
     def test_config_to_dict_keys_unchanged(self):
         # the benchmark's goldens store these keys
@@ -319,6 +334,17 @@ class TestHelpers:
             np.savetxt(path, scene.image[0], fmt="%.17g", delimiter=",")
         from_csv = run_batch([load_plane_csv(p) for p in paths], boxes, cfg)
         assert [r[2] for r in from_csv] == [r[2] for r in results]
+
+    @pytest.mark.parametrize("n_images, n_boxes", [(3, 2), (2, 3)])
+    def test_run_batch_rejects_unpaired_images_before_any_runs(self, monkeypatch, n_images,
+                                                              n_boxes):
+        scenes = [generate_scene("ellipse", 64, seed=s) for s in range(3)]
+        calls = []
+        monkeypatch.setattr(pipeline, "run_pipeline", lambda *args: calls.append(args))
+        with pytest.raises(ShapeError, match=f"{n_images} images do not pair with {n_boxes} boxes"):
+            run_batch([s.image for s in scenes[:n_images]], [s.tight_box for s in scenes[:n_boxes]],
+                      PipelineConfig(depth=2))
+        assert calls == []
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_run_batch_raises_the_first_failing_image(self, monkeypatch, cores):

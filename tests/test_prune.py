@@ -262,8 +262,8 @@ class TestPratoScore:
                              policy=ThresholdPolicy("percentile", 25.0))
         m = bundle.similarity.shape[0]
         assert m == 16
-        assert np.abs(bundle.probs.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.abs(bundle.weights - (1.0 - bundle.ranks)).max() <= 2 ** -52
+        assert np.array_equal(bundle.entropies, entropy_rows(softmax_rows(bundle.similarity)))
+        assert np.array_equal(bundle.weights, inverse_entropy_weights(bundle.entropies)[1])
         assert np.all(bundle.entropies >= 0.0)
         assert np.all(bundle.entropies <= math.log2(grid.z) + 1e-12)
         assert set(np.unique(bundle.mask)) <= {0, 1}

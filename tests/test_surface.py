@@ -1,10 +1,18 @@
-"""Public surface guard: every public function and class in ``src/prato`` has a caller.
+"""Public surface guard: nothing in ``src/prato`` exists only for the tests.
 
-A caller is a reference from library code (another module, or elsewhere in
-the defining module), from ``bench/`` or from ``demos/``. References from
-``__init__.py`` re-exports and from ``tests/`` do not count, so a helper
+- Every public function and class has a caller.
+- Every parameter with a default is passed by some call, by name or by
+  position.
+- Every dataclass field and public property is read.
+- Every import in ``src/prato``, but the re-exports of ``__init__.py``,
+  and in ``demos/`` is used.
+
+A caller or reader is library code (another module, or elsewhere in the
+defining module), ``bench/`` or ``demos/``. References from ``__init__.py``
+re-exports and from ``tests/`` do not count, so a helper, option or field
 that only tests exercise fails here instead of growing a second copy of
-what the pipeline already does.
+what the pipeline already does. Matching is by name, as in the AST alone:
+a call to any function of that name counts as a call.
 """
 
 import ast
@@ -12,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prato"
+CALLERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _public_defs(tree) -> list:
@@ -40,10 +49,15 @@ def _referenced_names(tree, skip=()) -> set:
     return names
 
 
+def _modules(src: Path) -> dict:
+    """Path to parsed tree of each module in ``src`` but ``__init__.py``, whose re-exports do not
+    count as uses."""
+    return {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+
+
 def dead_public_names(src: Path, callers: list) -> list:
     """``module.name`` of each public top-level def that nothing in ``src`` or ``callers`` uses."""
-    modules = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))
-               if p.name != "__init__.py"}
+    modules = _modules(src)
     outside = set()
     for path in callers:
         outside |= _referenced_names(ast.parse(path.read_text()))
@@ -60,9 +74,8 @@ def dead_public_names(src: Path, callers: list) -> list:
 
 
 def test_every_public_name_has_a_non_test_caller():
-    callers = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    assert callers
-    assert dead_public_names(SRC, callers) == []
+    assert CALLERS
+    assert dead_public_names(SRC, CALLERS) == []
 
 
 def test_guard_flags_a_test_only_helper(tmp_path):
@@ -78,3 +91,146 @@ def test_guard_flags_a_test_only_helper(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("TARGETS = ['Named']\n")
     assert dead_public_names(pkg, [demo]) == ["a.unused"]
+
+
+def _calls_to(trees, name: str) -> list:
+    """Calls whose callee is spelled ``name`` or ``<anything>.name``."""
+    return [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def _passes(call, index: int, param: str) -> bool:
+    """Whether ``call`` passes the parameter at positional ``index`` named ``param``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: a **mapping passes any
+        return True
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_keywords(src: Path, callers: list) -> list:
+    """``module.function(param=)`` of each defaulted parameter that no call in ``src`` or
+    ``callers`` passes, by name or by position. Calling a class calls its ``__init__``."""
+    modules = _modules(src)
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in callers]
+    unpassed = []
+    for path, tree in modules.items():
+        defs = [(None, node) for node in tree.body]
+        defs += [(cls, node) for _, cls in defs if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for cls, fn in defs:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if cls else 0:]
+            defaulted = positional[len(positional) - len(fn.args.defaults):]
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            calls = _calls_to(trees, cls.name if cls and fn.name == "__init__" else fn.name)
+            for param in defaulted:
+                index = positional.index(param) if param in positional else len(positional)
+                if not any(_passes(c, index, param) for c in calls):
+                    name = f"{cls.name}.{fn.name}" if cls else fn.name
+                    unpassed.append(f"{path.stem}.{name}({param}=)")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    assert unpassed_keywords(SRC, CALLERS) == []
+
+
+def test_guard_flags_a_keyword_no_caller_passes(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import f\nf(0, 1, 2, 3)\n")  # re-exports do not count
+    (pkg / "a.py").write_text(
+        "def f(x, by_name=1, by_position=2, unpassed=3, *, kw_only=4):\n    return x\n"
+        "class Failure(Exception):\n"
+        "    def __init__(self, message, stage=None, unpassed=None):\n"
+        "        super().__init__(message)\n")
+    (pkg / "b.py").write_text("from .a import Failure, f\n"
+                              "f(0, by_name=5)\nf(0, 5, 6)\nraise Failure('m', stage=1)\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("from pkg.a import f\nf(0, kw_only=7)\n")
+    assert unpassed_keywords(pkg, [demo]) == ["a.f(unpassed=)", "a.Failure.__init__(unpassed=)"]
+
+
+def _is_dataclass(cls) -> bool:
+    return any("dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+               for d in cls.decorator_list)
+
+
+def unread_fields(src: Path, callers: list) -> list:
+    """``module.Class.name`` of each dataclass field and public property that no attribute read
+    in ``src`` or ``callers`` takes. Reads inside a ``__post_init__`` (validation) and string
+    constants (``getattr``) do not count."""
+    modules = _modules(src)
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in callers]
+    validation = {id(n) for t in trees for f in ast.walk(t)
+                  if getattr(f, "name", None) == "__post_init__" for n in ast.walk(f)}
+    read = {node.attr for t in trees for node in ast.walk(t) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in validation}
+    unread = []
+    for path, tree in modules.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            names = [n.target.id for n in cls.body
+                     if _is_dataclass(cls) and isinstance(n, ast.AnnAssign)]
+            names += [n.name for n in cls.body if isinstance(n, ast.FunctionDef)
+                      and not n.name.startswith("_")
+                      and any(getattr(d, "id", None) == "property" for d in n.decorator_list)]
+            unread += [f"{path.stem}.{cls.name}.{name}" for name in names if name not in read]
+    return unread
+
+
+def test_every_field_and_property_is_read_outside_the_tests():
+    assert unread_fields(SRC, CALLERS) == []
+
+
+def test_guard_flags_a_field_only_tests_read(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import Record\nRecord(1, 2, 3).unread\n")
+    (pkg / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "    validated: int\n"
+        "    def __post_init__(self):\n"
+        "        assert self.validated >= 0\n"
+        "    @property\n"
+        "    def shown(self):\n"
+        "        return self.read\n"
+        "    @property\n"
+        "    def hidden(self):\n"
+        "        return 0\n"
+        "class Plain:\n"
+        "    width: int\n")  # not a dataclass: its annotations are not fields
+    (pkg / "b.py").write_text("def f(r):\n    r.unread = 0\n    return r.shown\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("NAMES = ['unread', 'validated', 'hidden']\n")  # strings are not reads
+    assert unread_fields(pkg, [demo]) == ["a.Record.unread", "a.Record.validated", "a.Record.hidden"]
+
+
+def unused_imports(paths: list) -> list:
+    """``file:name`` of each imported name that its file never uses."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                unused += [f"{path.name}:{name}" for name in bound if name not in used]
+    return unused
+
+
+def test_no_unused_imports():
+    paths = list(_modules(SRC)) + sorted((ROOT / "demos").glob("*.py"))  # __init__.py re-exports
+    assert unused_imports(paths) == []
+
+
+def test_guard_flags_an_unused_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\nimport numpy as np\nfrom json import dumps, loads as parse\n"
+                   "from .sibling import Grid\n"
+                   "def f(g: Grid):\n    return np.zeros(1), os.sep\n")
+    assert unused_imports([mod]) == ["mod.py:dumps", "mod.py:parse"]

@@ -264,6 +264,12 @@ class TestRunSweep:
         ({"seeds": [2]}, "bad sweep spec value"),
         ({"policies": ["percentile"]}, "bad sweep spec value"),
         ({"perturbations": [["tight"]]}, "bad sweep spec value"),
+        ({"k_values": [3.9]}, "bad sweep spec value: k_values must be an integer, got 3.9"),
+        ({"seeds": 2.5}, "seeds must be an integer, got 2.5"),
+        ({"seeds": True}, "seeds must be an integer, got True"),
+        ({"size": 64.7}, "size must be an integer, got 64.7"),
+        ({"base_seed": "0"}, "base_seed must be an integer, got '0'"),
+        ({"pipeline": {"stage_indices": [1.6]}}, "stage_indices must be an integer, got 1.6"),
     ])
     def test_spec_from_dict_rejects(self, change, message):
         spec = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
