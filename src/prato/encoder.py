@@ -16,11 +16,14 @@ row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 
-A block over n > ``QUERY_BLOCK`` tokens spreads its heads across cores with
-:func:`numerics.fan_out`, head h in group h mod G, G = min(usable cores,
-heads). Each group reuses one (min(n, 256), n) score buffer that the caller
-allocates. Each head makes the same numpy calls as in one thread, so output
-is bit-identical for every G.
+A block over n > ``QUERY_BLOCK`` tokens runs two :func:`numerics.fan_out`
+calls. Heads go to group h mod G, G = min(usable cores, heads), and each group
+reuses one (min(n, 256), n) score buffer that the caller allocates. Then the
+row-wise tail (``wo``, LN2, FFN, residual) runs in P = min(usable cores, n // 2)
+near-equal parts, part i on rows n*i//P up to n*(i+1)//P of one output array.
+A part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
+bits differ from gemm's, and OpenBLAS 0.3.31 gemm (as measured) gives a block of
+two or more rows the bits of the whole product, so output is the same for all G, P.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     else:
         for h in range(w.heads):
             head(h)
-    return out @ w.wo
+    return out
 
 
 def encode_tokens(
@@ -146,15 +149,20 @@ def encode_tokens(
     x = as_matrix(x, "tokens")
     if x.shape[1] != w.width:
         raise ShapeError(f"token width {x.shape[1]} does not match block width {w.width}")
-    if residual == "block":
-        inner = _attention(layer_norm(x, ln_eps), w)
-        mixed = layer_norm(inner, ln_eps)
-        return gelu(mixed @ w.ffn_in) @ w.ffn_out + x
-    if residual == "sublayer":
-        x = x + _attention(layer_norm(x, ln_eps), w)
-        h = layer_norm(x, ln_eps)
-        return x + gelu(h @ w.ffn_in) @ w.ffn_out
-    raise ShapeError(f"unknown residual mode {residual!r}")
+    if residual not in ("block", "sublayer"):
+        raise ShapeError(f"unknown residual mode {residual!r}")
+    n, attn, out = len(x), _attention(layer_norm(x, ln_eps), w), np.empty_like(x)
+    parts = min(numerics._CORES, n // 2) if n > QUERY_BLOCK else 1
+
+    def tail(i):  # wo, LN2, FFN and residual of rows n*i//parts up to n*(i+1)//parts
+        rows = slice(n * i // parts, n * (i + 1) // parts)
+        a = attn[rows] @ w.wo
+        s = x[rows] if residual == "block" else x[rows] + a  # what the FFN output is added to
+        h = layer_norm(a if residual == "block" else s, ln_eps)
+        np.add(gelu(h @ w.ffn_in) @ w.ffn_out, s, out=out[rows])
+
+    fan_out(tail, parts)
+    return out
 
 
 def attention_map(grid: TokenGrid, w: BlockWeights, head: int) -> np.ndarray:

@@ -19,10 +19,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ConfigurationError, ShapeError, ValidationError
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = {}  # "threads": the executor of _CORES - 1 threads; one made by a losing racer never starts
+_F64_MAX = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
 _group = threading.local()  # .active while this thread runs a fan-out group
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
@@ -165,6 +166,22 @@ def load_json(path):
             return json.load(f)
         except ValueError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
+def parse_int(value, key: str) -> int:
+    """A JSON integer, or a float with no fractional part; anything else, bools too, raises."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def parse_float(value, key: str) -> float:
+    """A finite JSON number, integers included; bools, strings, NaN and infinities raise."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= _F64_MAX):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_matrix_csv(path) -> np.ndarray:

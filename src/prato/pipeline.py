@@ -57,7 +57,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import fan_out, softmax_rows
+from .numerics import fan_out, parse_float, parse_int, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -72,8 +72,8 @@ class PromptPerturbation:
     def __post_init__(self):
         if self.kind not in ("tight", "oversized", "partial", "misleading"):
             raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ConfigurationError("perturbation magnitude must be >= 0")
+        if not 0 <= self.magnitude < np.inf:
+            raise ConfigurationError(f"perturbation magnitude {self.magnitude} must be finite and >= 0")
         if self.kind == "tight" and self.magnitude != 0:
             raise ConfigurationError("tight prompts take magnitude 0")
         if self.kind == "partial" and not 0.0 < self.magnitude <= 1.0:
@@ -109,10 +109,11 @@ class PipelineConfig:
                 f"stage indices {self.stage_indices} must be a non-empty subset of "
                 f"[0, {self.depth})"
             )
-        for name in ("patch_size", "embed_dim", "heads", "d_v", "roi_k", "sampling_ratio",
-                     "ln_eps"):
+        for name in ("patch_size", "embed_dim", "heads", "d_v", "roi_k", "sampling_ratio"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0 < self.ln_eps < np.inf:
+            raise ConfigurationError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
         if self.embed_dim % self.heads:
             raise ConfigurationError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
         choices = {"mask_mode": ("zero", "compact"), "residual": ("block", "sublayer"),
@@ -143,21 +144,12 @@ class PipelineConfig:
         }
 
 
-def parse_int(value, key: str) -> int:
-    """A JSON integer, or a float with no fractional part; anything else, bools too, raises."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 # config-file keys and their parsers (value, key); tau_mode and tau_value make the policy
 _CONFIG_FIELDS = {
     **dict.fromkeys(("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
                      "sampling_ratio", "seed"), parse_int),
     **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied"), lambda v, key: v),
-    "ln_eps": lambda v, key: float(v),
+    "ln_eps": parse_float,
     "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in v),
 }
 
@@ -169,7 +161,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        policy = ThresholdPolicy(d.get("tau_mode", "percentile"), float(d.get("tau_value", 25.0)))
+        tau_value = parse_float(d.get("tau_value", 25.0), "tau_value")
+        policy = ThresholdPolicy(d.get("tau_mode", "percentile"), tau_value)
         # stage_indices stays unset unless given, so the default tracks the depth
         kwargs = {k: parse(d[k], k) for k, parse in _CONFIG_FIELDS.items() if k in d}
     except (TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePromptError, RangeError, ValidationError
-from .numerics import load_json, open_new
+from .numerics import load_json, open_new, parse_float
 from .tokens import TokenGrid
 
 
@@ -48,7 +48,7 @@ def box_from_dict(d: dict) -> BoxPrompt:
     if not isinstance(d, dict):
         raise ValidationError(f"box record must be a JSON object, got {type(d).__name__}")
     try:
-        coords = [float(d[name]) for name in ("x1", "y1", "x2", "y2")]
+        coords = [parse_float(d[name], name) for name in ("x1", "y1", "x2", "y2")]
     except KeyError as exc:
         raise ValidationError(f"box record is missing field {exc}") from None
     except (TypeError, ValueError) as exc:

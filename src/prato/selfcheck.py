@@ -181,25 +181,24 @@ def check_encoder_identity(rng) -> bool:
 
 
 def check_attention_rows(rng) -> bool:
-    x = rng.normal(size=(encoder.QUERY_BLOCK + 45, 48))
-    w = encoder.init_block_weights(48, 3, seed=5)  # pooled: head groups {0, 2} and {1}
-    want, saved, got = attention_oracle(x, w), numerics._CORES, []
-    try:
-        for cores in (1, 2):
-            numerics._CORES = cores
-            np.full(x.shape, np.nan)  # freed at once, so a skipped group reads NaN, not the last run
-            got.append(encoder._attention(x, w))
+    x, w = rng.normal(size=(encoder.QUERY_BLOCK + 45, 48)), encoder.init_block_weights(48, 3, seed=5)
+    a, saved, ok = attention_oracle(numerics.layer_norm(x), w) @ w.wo, numerics._CORES, True
+    try:  # two cores: heads {0, 2} and {1}, then rows 0-149 and 150-300
+        for residual, h, base in (("block", a, x), ("sublayer", x + a, x + a)):  # LN2 input, FFN addend
+            want = encoder.gelu(numerics.layer_norm(h) @ w.ffn_in) @ w.ffn_out + base
+            got = [encoder.encode_tokens(x, w, residual) for numerics._CORES in (1, 2)]
+            ok &= np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max() and np.array_equal(*got)
     finally:
         numerics._CORES = saved
-    return np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max() and np.array_equal(*got)
+    return bool(ok)
 
 
 def attention_oracle(x, w):
-    """Unblocked attention: softmax(q k^T * 1/sqrt(d_h)) v per head, concatenated, then wo."""
+    """Unblocked attention: softmax(q k^T * 1/sqrt(d_h)) v per head, concatenated (before wo)."""
     scale = 1.0 / np.sqrt(x.shape[1] // w.heads)
     heads = [numerics.softmax_rows(x @ wq @ (x @ wk).T * scale) @ (x @ wv)
              for wq, wk, wv in zip(w.wq, w.wk, w.wv)]
-    return np.concatenate(heads, axis=1) @ w.wo
+    return np.concatenate(heads, axis=1)
 
 
 CHECKS = [
@@ -214,7 +213,7 @@ CHECKS = [
     ("loss gradient vs finite differences", check_gradient_fd),
     ("pipeline determinism", check_pipeline_determinism),
     ("zero-weight block is the identity", check_encoder_identity),
-    ("attention rows: blocked vs unblocked, pooled vs serial", check_attention_rows),
+    ("encoder block: blocked vs unblocked, pooled vs serial", check_attention_rows),
 ]
 
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import make_rng, open_new
+from .numerics import make_rng, open_new, parse_float, parse_int
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
     box_iou,
     config_from_dict,
     encode_prefix,
-    parse_int,
     perturb_prompt,
     run_pipeline,
     token_in_box_mask,
@@ -177,11 +176,10 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
     if unknown:
         raise ConfigurationError(f"unknown sweep spec keys: {', '.join(unknown)}")
     try:
-        policies = [ThresholdPolicy(p["mode"], float(p["value"])) for p in d["policies"]]
-        perts = [
-            PromptPerturbation(p["kind"], float(p.get("magnitude", _default_magnitude(p["kind"]))))
-            for p in d["perturbations"]
-        ]
+        policies = [ThresholdPolicy(p["mode"], parse_float(p["value"], "value")) for p in d["policies"]]
+        perts = [PromptPerturbation(p["kind"], parse_float(p.get("magnitude", _default_magnitude(p["kind"])),
+                                                           "magnitude"))
+                 for p in d["perturbations"]]
         scalars = dict(k_values=[parse_int(k, "k_values") for k in d["k_values"]],
                        seeds=parse_int(d["seeds"], "seeds"), size=parse_int(d.get("size", 128), "size"),
                        base_seed=parse_int(d.get("base_seed", 0), "base_seed"),

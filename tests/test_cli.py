@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -178,14 +179,29 @@ class TestErrors:
         (["prune"], [0.1, 0.1, 0.5, 0.5]),
         (["prune"], {"x1": "a", "y1": 0.1, "x2": 0.5, "y2": 0.5}),
         (["prune"], {"x1": None, "y1": 0.1, "x2": 0.5, "y2": 0.5}),
+        (["prune"], {"x1": False, "y1": False, "x2": True, "y2": True}),
+        (["prune"], {"x1": "0.1", "y1": 0.1, "x2": 0.5, "y2": 0.5}),
+        (["prune", "--config"], {"ln_eps": True}),
+        (["prune", "--config"], {"ln_eps": "1e-3"}),
+        (["prune", "--config"], {"ln_eps": math.inf}),
+        (["prune", "--config"], {"ln_eps": 10**400}),
+        (["prune", "--config"], {"tau_value": True}),
+        (["sweep"], {"policies": [{"mode": "percentile", "value": True}]}),
+        (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": math.inf}]}),
+        (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": "0.5"}]}),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
             "spec-unknown-key", "spec-policy-without-mode", "box-list", "box-text-coordinate",
-            "box-null-coordinate"])
+            "box-null-coordinate", "box-bool-coordinates", "box-numeric-text-coordinate",
+            "config-bool-ln-eps", "config-text-ln-eps", "config-infinite-ln-eps",
+            "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
+            "spec-infinite-magnitude", "spec-text-magnitude"])
     def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
-        if argv == ["prune"]:  # spec is the box record
-            path = tmp_path / "box.json"
+        if argv[0] == "prune":  # spec is the box record, or with --config the config
+            path = tmp_path / "record.json"
             path.write_text(json.dumps(spec))
-            argv = argv + ["--image", str(scene_files[0]), "--box", str(path)]
+            image, box = scene_files
+            config = argv[1:] + [str(path)] if argv[1:] else []
+            argv = ["prune", "--image", str(image), "--box", str(box if config else path), *config]
         elif spec is not None:
             full = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
                     "perturbations": [{"kind": "tight"}], "seeds": 1, "size": 64, **spec}

@@ -11,6 +11,7 @@ from prato import encoder, numerics
 from prato.encoder import (
     attention_map,
     encode_tokens,
+    gelu,
     init_block_weights,
 )
 from prato.errors import ShapeError, ValidationError
@@ -125,6 +126,64 @@ class TestPooledAttention:
         time.sleep(0.05)
         # the other group's two heads ran all 3 blocks; the bad group stopped at its first
         assert finished == len(done) == 6
+
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    @pytest.mark.parametrize("n", [257, 258, 259, 511, 513, 768, 769, 1025, 2048])
+    def test_tail_parts_bitwise_equal_for_any_core_count(self, monkeypatch, n, residual):
+        # three cores split 257 rows 85/86/86; fixed 256-row chunks would leave a 1-row tail
+        x = make_rng(n).normal(size=(n, 32))
+        w = init_block_weights(32, 4, seed=n)
+        outs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_CORES", cores)
+            outs.append(encode_tokens(x, w, residual=residual))
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    @pytest.mark.parametrize("n, threads", [(40, 1), (256, 1), (257, 2), (1024, 2)])
+    def test_tail_rows_leave_the_caller_only_above_one_query_block(self, monkeypatch, n, threads):
+        monkeypatch.setattr(numerics, "_CORES", 2)
+        x = make_rng(n).normal(size=(n, 32))
+        w = init_block_weights(32, 4, seed=1)
+        seen = []
+
+        def spy(m):
+            seen.append((threading.get_ident(), len(m)))
+            return gelu(m)
+
+        monkeypatch.setattr(encoder, "gelu", spy)
+        encode_tokens(x, w)
+        idents = {ident for ident, _ in seen}
+        assert len(idents) == len(seen) == threads and threading.get_ident() in idents
+        assert sorted(rows for _, rows in seen) == [n * (i + 1) // threads - n * i // threads
+                                                    for i in range(threads)]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    @pytest.mark.parametrize("bad_part", [0, 1])  # part 0 runs on the caller, part 1 on a worker
+    def test_tail_error_surfaces_after_every_part(self, monkeypatch, bad_part, residual):
+        monkeypatch.setattr(numerics, "_CORES", 2)
+        x = make_rng(12).normal(size=(600, 32))  # rows 0-299 and 300-599
+        w = init_block_weights(32, 4, seed=12)
+        attention, done = encoder._attention, []
+
+        def poisoned(x, w):
+            out = attention(x, w)
+            out[300 * bad_part + 7] = np.inf
+            return out
+
+        def slow_gelu(m):
+            time.sleep(0.02)
+            done.append(threading.get_ident())
+            return gelu(m)
+
+        monkeypatch.setattr(encoder, "_attention", poisoned)
+        monkeypatch.setattr(encoder, "gelu", slow_gelu)
+        with pytest.raises(ValidationError):
+            encode_tokens(x, w, residual=residual)
+        finished = len(done)
+        time.sleep(0.05)
+        # the good part ran its FFN; the bad part stopped at its LN2 check
+        assert finished == len(done) == 1
 
 
 class TestElementwiseHelpers:

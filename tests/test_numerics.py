@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prato import numerics
-from prato.errors import ShapeError, ValidationError
+from prato.errors import ConfigurationError, ShapeError, ValidationError
 from prato.numerics import (
     fan_out,
     layer_norm,
@@ -23,6 +23,7 @@ from prato.numerics import (
     logistic,
     make_rng,
     open_new,
+    parse_float,
     read_container,
     softmax_rows,
 )
@@ -99,6 +100,19 @@ class TestLogistic:
 
     def test_extremes_stay_finite(self):
         assert 0.0 <= logistic(-1e6) <= logistic(1e6) <= 1.0
+
+
+class TestParseFloat:
+    @pytest.mark.parametrize("value", [0, -3, 2**53 + 1, 2.5, 1e-300, -1.7e308])
+    def test_finite_numbers_pass_as_float(self, value):
+        got = parse_float(value, "k")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [True, False, "1.0", None, [1.0], math.inf, -math.inf,
+                                       math.nan, 10**400, -10**400], ids=lambda v: repr(v)[:8])
+    def test_other_values_raise_naming_the_key(self, value):
+        with pytest.raises(ConfigurationError, match="^eps must be a finite number, got "):
+            parse_float(value, "eps")
 
 
 class TestRng:

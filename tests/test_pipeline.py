@@ -184,6 +184,11 @@ class TestPerturbations:
         box = BoxPrompt(0.2, 0.3, 0.6, 0.7)
         assert perturb_prompt(box, PromptPerturbation("tight"), make_rng(0)) == box
 
+    @pytest.mark.parametrize("magnitude", [-0.5, math.inf, math.nan])
+    def test_magnitude_must_be_finite_and_non_negative(self, magnitude):
+        with pytest.raises(ConfigurationError, match="must be finite and >= 0"):
+            PromptPerturbation("oversized", magnitude)
+
     def test_oversized_zero_magnitude_identity(self):
         box = BoxPrompt(0.2, 0.3, 0.6, 0.7)
         out = perturb_prompt(box, PromptPerturbation("oversized", 0.0), make_rng(1))
@@ -268,6 +273,7 @@ class TestHelpers:
         dict(patch_size=0), dict(embed_dim=0), dict(heads=0), dict(d_v=0), dict(roi_k=0),
         dict(sampling_ratio=0), dict(heads=3), dict(stage_indices=()), dict(residual="fused"),
         dict(positional="rotary"), dict(ln_eps=0.0), dict(ln_eps=-1e-6), dict(ln_eps=math.nan),
+        dict(ln_eps=math.inf),
         dict(proj_tied="false"),
     ], ids=repr)
     def test_config_rejects_bad_field(self, bad):
@@ -291,6 +297,12 @@ class TestHelpers:
         ({"depth": True}, "depth must be an integer, got True"),
         ({"seed": "3"}, "seed must be an integer, got '3'"),
         ({"stage_indices": [1.6]}, "stage_indices must be an integer, got 1.6"),
+        ({"ln_eps": True}, "ln_eps must be a finite number, got True"),
+        ({"ln_eps": "1e-3"}, "ln_eps must be a finite number, got '1e-3'"),
+        ({"ln_eps": math.inf}, "ln_eps must be a finite number, got inf"),
+        ({"ln_eps": 10**400}, "ln_eps must be a finite number"),
+        ({"tau_value": True}, "tau_value must be a finite number, got True"),
+        ({"tau_value": math.nan}, "tau_value must be a finite number, got nan"),
     ])
     def test_config_from_dict_rejects(self, d, match):
         with pytest.raises(ConfigurationError, match=match):

@@ -1,5 +1,7 @@
 """Region pooling tests against a scalar brute-force bilinear oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestBoxPrompt:
     def test_missing_field(self):
         with pytest.raises(ValidationError):
             box_from_dict({"x1": 0, "y1": 0, "x2": 1})
+
+    @pytest.mark.parametrize("x1", [False, "0.1", math.inf, math.nan, None, [0.1]])
+    def test_coordinate_must_be_a_finite_number(self, x1):
+        with pytest.raises(ValidationError, match="x1 must be a finite number"):
+            box_from_dict({"x1": x1, "y1": 0.1, "x2": 0.5, "y2": 0.5})
+
+    def test_integer_coordinates_are_numbers(self):
+        assert box_from_dict({"x1": 0, "y1": 0, "x2": 1, "y2": 1}) == BoxPrompt(0.0, 0.0, 1.0, 1.0)
 
 
 class TestMapBoxToGrid:

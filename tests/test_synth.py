@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,14 @@ class TestRunSweep:
         ({"size": 64.7}, "size must be an integer, got 64.7"),
         ({"base_seed": "0"}, "base_seed must be an integer, got '0'"),
         ({"pipeline": {"stage_indices": [1.6]}}, "stage_indices must be an integer, got 1.6"),
+        ({"policies": [{"mode": "percentile", "value": True}]}, "value must be a finite number, got True"),
+        ({"policies": [{"mode": "percentile", "value": "25"}]}, "value must be a finite number, got '25'"),
+        ({"perturbations": [{"kind": "oversized", "magnitude": math.inf}]},
+         "magnitude must be a finite number, got inf"),
+        ({"perturbations": [{"kind": "oversized", "magnitude": "0.5"}]},
+         "magnitude must be a finite number, got '0.5'"),
+        ({"perturbations": [{"kind": "partial", "magnitude": False}]},
+         "magnitude must be a finite number, got False"),
     ])
     def test_spec_from_dict_rejects(self, change, message):
         spec = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
