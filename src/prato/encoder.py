@@ -151,7 +151,9 @@ def encode_tokens(
         raise ShapeError(f"token width {x.shape[1]} does not match block width {w.width}")
     if residual not in ("block", "sublayer"):
         raise ShapeError(f"unknown residual mode {residual!r}")
-    n, attn, out = len(x), _attention(layer_norm(x, ln_eps), w), np.empty_like(x)
+    n = len(x)
+    attn = _attention(layer_norm(x, ln_eps), w)
+    out = np.empty_like(x)
     parts = min(numerics._CORES, n // 2) if n > QUERY_BLOCK else 1
 
     def tail(i):  # wo, LN2, FFN and residual of rows n*i//parts up to n*(i+1)//parts

@@ -177,9 +177,11 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
         raise ConfigurationError(f"unknown sweep spec keys: {', '.join(unknown)}")
     try:
         policies = [ThresholdPolicy(p["mode"], parse_float(p["value"], "value")) for p in d["policies"]]
-        perts = [PromptPerturbation(p["kind"], parse_float(p.get("magnitude", _default_magnitude(p["kind"])),
-                                                           "magnitude"))
-                 for p in d["perturbations"]]
+        perts = [
+            PromptPerturbation(p["kind"], parse_float(p.get("magnitude", _default_magnitude(p["kind"])),
+                                                      "magnitude"))
+            for p in d["perturbations"]
+        ]
         scalars = dict(k_values=[parse_int(k, "k_values") for k in d["k_values"]],
                        seeds=parse_int(d["seeds"], "seeds"), size=parse_int(d.get("size", 128), "size"),
                        base_seed=parse_int(d.get("base_seed", 0), "base_seed"),
