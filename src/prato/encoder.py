@@ -16,11 +16,11 @@ row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 
-A block over n > ``QUERY_BLOCK`` tokens runs two :func:`numerics.fan_out`
-calls. Heads go to group h mod G, G = min(usable cores, heads), and each group
-reuses one (min(n, 256), n) score buffer that the caller allocates. Then the
-row-wise tail (``wo``, LN2, FFN, residual) runs in P = min(usable cores, n // 2)
-near-equal parts, part i on rows n*i//P up to n*(i+1)//P of one output array.
+A block over n > ``POOL_ABOVE`` (96) tokens, where two cores measured faster than
+one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
+G = ``group_count(heads)``, each group reusing one (min(n, 256), n) score buffer
+that the caller allocates; then the row-wise tail (``wo``, LN2, FFN, residual) runs
+in P = ``group_count(n // 2)`` near-equal parts, part i on rows n*i//P up to n*(i+1)//P.
 A part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
 bits differ from gemm's, and OpenBLAS 0.3.31 gemm (as measured) gives a block of
 two or more rows the bits of the whole product, so output is the same for all G, P.
@@ -39,6 +39,7 @@ from .numerics import as_matrix, fan_out, gaussian_matrix, layer_norm, make_rng,
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
+POOL_ABOVE = 96  # blocks of more tokens fan out heads and tail rows (measured crossover)
 
 
 @dataclass
@@ -123,7 +124,7 @@ def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     out = np.empty((n, width))
     # one buffer per fan_out group, allocated here: buffers made on pool threads cost peak RSS
     bufs = [np.empty((min(n, QUERY_BLOCK), n))
-            for _ in range(min(numerics._CORES, w.heads) if n > QUERY_BLOCK else 1)]
+            for _ in range(numerics.group_count(w.heads) if n > POOL_ABOVE else 1)]
 
     def head(h):
         q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
@@ -154,7 +155,7 @@ def encode_tokens(
     n = len(x)
     attn = _attention(layer_norm(x, ln_eps), w)
     out = np.empty_like(x)
-    parts = min(numerics._CORES, n // 2) if n > QUERY_BLOCK else 1
+    parts = numerics.group_count(n // 2) if n > POOL_ABOVE else 1
 
     def tail(i):  # wo, LN2, FFN and residual of rows n*i//parts up to n*(i+1)//parts
         rows = slice(n * i // parts, n * (i + 1) // parts)

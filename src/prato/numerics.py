@@ -29,16 +29,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
 
 
+def group_count(count: int) -> int:
+    """Groups a fan-out of ``count`` items runs in: 1 inside a group, else min(usable cores, count)."""
+    return 1 if getattr(_group, "active", False) else min(_CORES, count)
+
+
 def fan_out(fn, count: int) -> list:
     """Return ``[fn(0), ..., fn(count - 1)]`` in index order, item i run in group i mod G.
 
-    G = min(usable cores, count). The caller runs group 0 and one process-wide pool of
+    G = ``group_count(count)``. The caller runs group 0 and one process-wide pool of
     ``_CORES - 1`` threads the rest, each group in index order. A fan-out called inside a group
     runs inline, so nesting never submits work and cannot deadlock. Each group stops at its
     first error; once every group has finished, the error of the lowest item index is raised,
     the error a loop over the items raises. Items must not write what other items read.
     """
-    groups = 1 if getattr(_group, "active", False) else min(_CORES, count)
+    groups = group_count(count)
     if groups <= 1:  # a loop, which leaves the fan-outs inside it free to use the pool
         return [fn(i) for i in range(count)]
     out, failed = [None] * count, {}

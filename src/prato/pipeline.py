@@ -304,10 +304,8 @@ def build_pipeline_weights(cfg: PipelineConfig, channels: int, grid_h: int, grid
         channels, cfg.patch_size, cfg.embed_dim, grid_h, grid_w,
         seed=int(seeds[0]), positional=cfg.positional,
     )
-    blocks = [
-        init_block_weights(cfg.embed_dim, cfg.heads, seed=int(seeds[1 + b]))
-        for b in range(cfg.depth)
-    ]
+    blocks = fan_out(lambda b: init_block_weights(cfg.embed_dim, cfg.heads, seed=int(seeds[1 + b])),
+                     cfg.depth)
     projections = make_projections(cfg.embed_dim, cfg.d_v, seed=int(seeds[-1]), tied=cfg.proj_tied)
     key = weights_key(cfg, (channels, grid_h * cfg.patch_size, grid_w * cfg.patch_size))
     return PipelineWeights(embedder=embedder, blocks=blocks, projections=projections, key=key)

@@ -3,12 +3,14 @@
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from prato import encoder, numerics
 from prato.encoder import (
+    POOL_ABOVE,
     attention_map,
     encode_tokens,
     gelu,
@@ -139,8 +141,61 @@ class TestPooledAttention:
             outs.append(encode_tokens(x, w, residual=residual))
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
-    @pytest.mark.parametrize("n, threads", [(40, 1), (256, 1), (257, 2), (1024, 2)])
-    def test_tail_rows_leave_the_caller_only_above_one_query_block(self, monkeypatch, n, threads):
+    @pytest.mark.parametrize("residual", ["block", "sublayer"])
+    @pytest.mark.parametrize("width, heads", [(48, 1), (48, 3), (48, 4), (48, 8),
+                                              (64, 1), (64, 4), (64, 8)])
+    @pytest.mark.parametrize("n", [POOL_ABOVE + 1, POOL_ABOVE + 2, 160, 192, 255, 256])
+    def test_small_pooled_blocks_bitwise_equal_for_any_core_count(self, monkeypatch, n, width,
+                                                                   heads, residual):
+        # one query block per head, split across head groups and row parts
+        x = make_rng(n + width + heads).normal(size=(n, width))
+        w = init_block_weights(width, heads, seed=n + heads)
+        outs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_CORES", cores)
+            outs.append(encode_tokens(x, w, residual=residual))
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    def test_block_inside_a_group_keeps_one_thread_and_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_CORES", 2)
+        n = 256
+        x = make_rng(n).normal(size=(n, 32))
+        w = init_block_weights(32, 4, seed=2)
+        serial = encode_tokens(x, w)
+        seen = []
+
+        class SpyNumpy:  # records score buffers; everything else is numpy's
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape):
+                if shape == (n, n):
+                    seen.append((threading.get_ident(), "buffer"))
+                return np.empty(shape)
+
+        def spy_scores(q, kt, out=None):
+            seen.append((threading.get_ident(), "head"))
+            return scores(q, kt, out=out)
+
+        def spy_gelu(m):
+            seen.append((threading.get_ident(), len(m)))
+            return gelu(m)
+
+        scores = encoder._scores
+        monkeypatch.setattr(encoder, "np", SpyNumpy())
+        monkeypatch.setattr(encoder, "_scores", spy_scores)
+        monkeypatch.setattr(encoder, "gelu", spy_gelu)
+        groups = numerics.fan_out(lambda _: (threading.get_ident(), encode_tokens(x, w)), 2)
+        assert len({ident for ident, _ in groups}) == 2
+        for ident, out in groups:
+            assert np.array_equal(out, serial)
+            assert Counter(what for who, what in seen if who == ident) == \
+                {"buffer": 1, "head": 4, n: 1}  # one buffer, 4 heads of one block, one part
+        assert {who for who, _ in seen} == {ident for ident, _ in groups}
+
+    @pytest.mark.parametrize("n, threads", [(40, 1), (POOL_ABOVE, 1), (POOL_ABOVE + 1, 2),
+                                            (1024, 2)])
+    def test_tail_rows_leave_the_caller_above_the_threshold(self, monkeypatch, n, threads):
         monkeypatch.setattr(numerics, "_CORES", 2)
         x = make_rng(n).normal(size=(n, 32))
         w = init_block_weights(32, 4, seed=1)

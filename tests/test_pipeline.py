@@ -1,6 +1,8 @@
 """Pipeline tests: cost model recounts, retention laws, perturbations, determinism."""
 
 import math
+import pickle
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -490,6 +492,25 @@ class TestPrefixReuse:
         weights = build_pipeline_weights(replace(cfg, **built_with), 1, grid, grid)
         with pytest.raises(ConfigurationError, match="do not fit"):
             run_pipeline(scene.image, scene.tight_box, cfg, weights)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_weights_bitwise_equal_for_any_core_count(self, monkeypatch, cores):
+        cfg = PipelineConfig(depth=4, seed=5)
+        build = lambda _=None: pickle.dumps(build_pipeline_weights(cfg, 1, 4, 4))
+        monkeypatch.setattr(numerics, "_CORES", 1)
+        want = build()
+        threads, draw = [], pipeline.init_block_weights
+
+        def spy(*args, **kw):
+            threads.append(threading.get_ident())
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(pipeline, "init_block_weights", spy)
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        assert build() == want and len(set(threads)) > 1  # the draws left the caller
+        threads.clear()
+        assert numerics.fan_out(build, 2) == [want, want]  # inline inside each group
+        assert len(set(threads)) == 2 and len(threads) == 2 * cfg.depth
 
     def test_weights_for_other_channel_count_rejected(self):
         cfg = PipelineConfig(depth=2, seed=0)

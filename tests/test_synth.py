@@ -10,6 +10,7 @@ import pytest
 
 import prato.pipeline
 import prato.synth
+from prato import numerics
 from prato.errors import ConfigurationError, ValidationError
 from prato.numerics import make_rng
 from prato.pipeline import (
@@ -187,6 +188,18 @@ class TestRunSweep:
             (tmp_path / "b" / "sweep.csv").read_bytes()
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
+
+    def test_bytes_equal_for_any_core_count(self, monkeypatch, tmp_path):
+        # z = 144, and 108 kept at percentile 25: blocks over 96 tokens are pooled at two cores
+        spec = _small_spec(seeds=1, size=192, policies=[ThresholdPolicy("percentile", 25.0),
+                                                        ThresholdPolicy("percentile", 50.0)],
+                           perturbations=[PromptPerturbation("tight"),
+                                          PromptPerturbation("misleading")])
+        for cores in (1, 2):
+            monkeypatch.setattr(numerics, "_CORES", cores)
+            run_sweep(spec, tmp_path / str(cores))
+        for name in ("sweep.csv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_csv_values_are_plain_floats(self, tmp_path):
         run_sweep(_small_spec(seeds=1), tmp_path)
