@@ -17,12 +17,11 @@ A run has two halves. The prefix validates the image, builds the
 weights (unless they are passed), tokenizes, and runs blocks
 ``0..stage_indices[0]``; none of that reads the prompt, the threshold
 policy or ``roi_k``. The continuation scores, masks and encodes the
-remaining blocks and builds the :class:`CostReport`. ``run_pipeline``
-is prefix-then-continuation, and a caller may pass a prefix it encoded
-earlier to run only the continuation: the sweep encodes one prefix per
-scene seed and reuses it for every (policy, k, perturbation) cell, and
-its CSV and JSON output stay byte-identical to running each cell from
-scratch. Reuse goes by key, never by shape: weights carry their
+remaining blocks and builds the :class:`CostReport`. A caller may pass a
+prefix it encoded earlier to run only the continuation, and may pass many
+prompts at once: the sweep runs all cells of a scene seed on one prefix, and
+cells with the same live token count through each later block together.
+Reuse goes by key, never by shape: weights carry their
 :func:`weights_key` (seed, depth, patch size, embed width, heads, d_v,
 positional mode, projection tying, and the image's channels, height and
 width), and a prefix its :func:`prefix_key` (that key plus the first
@@ -395,8 +394,66 @@ def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> 
     return EncodedPrefix(key=prefix_key(cfg, img.shape), image=img, weights=weights, tokens=tokens)
 
 
-def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeights = None,
-                 prefix: EncodedPrefix = None):
+@dataclass
+class _Prompt:
+    """A prompt in flight: its live tokens are ``tokens[keep]``, or ``tokens`` if keep is None."""
+
+    box: BoxPrompt
+    cfg: PipelineConfig
+    coords: np.ndarray
+    tokens_per_block: list
+    tokens: np.ndarray
+    keep: np.ndarray = None
+    bundles: list = field(default_factory=list)
+    error: Exception = None
+
+
+def _stack(prompts, width: int) -> list:
+    """(stack, members) per live count, member j on stack rows j*n up to (j+1)*n, filled
+    straight from its kept rows. One-row sets run alone: a one-row matmul rounds differently."""
+    by_count = {}
+    for p in prompts:
+        by_count.setdefault(len(p.coords), []).append(p)
+    groups = []
+    for n, same in by_count.items():
+        for members in [same] if n > 1 else [[p] for p in same]:
+            stack = np.empty((len(members) * n, width))
+            for p, rows in zip(members, np.split(stack, len(members))):
+                np.compress(np.ones(n, bool) if p.keep is None else p.keep, p.tokens, 0, out=rows)
+                p.tokens, p.keep = rows, None
+            groups.append((stack, members))
+    return groups
+
+
+def _prune(p: _Prompt, b: int, grid_h: int, grid_w: int, proj: Projections) -> None:
+    """Score a prompt's live tokens after block ``b``, and keep the mask of those it keeps."""
+    grid = TokenGrid(scatter_tokens(PrunedTokens("compact", p.tokens, p.coords, grid_h, grid_w)),
+                     grid_h, grid_w)
+    bundle = prato_score(grid, p.box, proj, p.cfg.roi_k, p.cfg.policy, p.cfg.sampling_ratio,
+                         tokens=p.tokens)
+    keep = bundle.mask.astype(bool)
+    if not keep.any():
+        raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
+    p.coords, p.keep = p.coords[keep], keep
+    p.bundles.append(bundle)
+
+
+def _result(p: _Prompt, z: int, grid_h: int, grid_w: int):
+    """A prompt's (tokens, bundles, report), or the exception it raised."""
+    if p.error is not None:
+        return p.error
+    pruned = PrunedTokens("compact", p.tokens if p.keep is None else p.tokens[p.keep], p.coords,
+                          grid_h, grid_w)
+    if p.cfg.mask_mode == "zero":
+        pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
+    flops_full, flops_pruned = estimate_flops(z, p.cfg.embed_dim, p.cfg.depth, p.tokens_per_block)
+    return pruned, p.bundles, CostReport(
+        tokens_full=z, tokens_retained=[int(bundle.mask.sum()) for bundle in p.bundles],
+        token_sparsity=1.0 - pruned.retained_count / z, flops_full=flops_full,
+        flops_pruned=flops_pruned, flops_reduction=1.0 - flops_pruned / flops_full)
+
+
+def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: EncodedPrefix = None):
     """Run embed -> encode -> prune stages; returns (tokens, bundles, report).
 
     Deterministic for a fixed (image, box, config, seed). ``weights``
@@ -405,61 +462,60 @@ def run_pipeline(img, box: BoxPrompt, cfg: PipelineConfig, weights: PipelineWeig
     ``prefix``, from :func:`encode_prefix` on the same image and a config
     with the same :func:`prefix_key`, skips everything before the first
     stage. Either raises ConfigurationError under another key, and the
-    output is bit-identical to a fresh run.
+    output is bit-identical to a fresh run. Equal-length lists of boxes and
+    of configs with one prefix key return a list: each prompt's result or
+    exception, bit-identical to a run of that prompt alone.
     """
-    if prefix is None:
-        prefix = encode_prefix(img, cfg, weights)
-    elif weights is not None:
+    many = isinstance(box, list)
+    if many != isinstance(cfg, list) or many and (len(box) != len(cfg) or not box):
+        raise ShapeError("pass one box and one config, or non-empty lists of equal length")
+    boxes, cfgs = (box, cfg) if many else ([box], [cfg])
+    given = prefix is not None
+    if given and weights is not None:
         raise ConfigurationError("pass weights or a prefix, not both")
-    else:
-        _check_key(prefix.key, prefix_key(cfg, np.shape(img)),
+    prefix = prefix if given else encode_prefix(img, cfgs[0], weights)
+    for c in cfgs:
+        _check_key(prefix.key, prefix_key(c, np.shape(img)),
                    "prefix was encoded under a different key")
-        if not np.array_equal(img, prefix.image):
-            raise ConfigurationError("prefix was encoded from a different image")
-    weights = prefix.weights
-    grid_h, grid_w = (n // cfg.patch_size for n in prefix.image.shape[1:])
-    z = grid_h * grid_w
-    first = cfg.stage_indices[0]
+    if given and not np.array_equal(img, prefix.image):
+        raise ConfigurationError("prefix was encoded from a different image")
 
-    pruned = PrunedTokens(mode="compact", tokens=prefix.tokens,
-                          retained_coords=row_major_index_map(grid_h, grid_w),
-                          grid_h=grid_h, grid_w=grid_w)
-    bundles: list[RelevanceBundle] = []
-    retained_per_stage: list[int] = []
-    tokens_per_block: list[int] = [z] * (first + 1)
-
-    for b in range(first, cfg.depth):
-        if b > first:
-            tokens_per_block.append(pruned.retained_count)
-            pruned.tokens = encode_tokens(pruned.tokens, weights.blocks[b],
-                                          residual=cfg.residual, ln_eps=cfg.ln_eps)
-        if b not in cfg.stage_indices:
-            continue
-        feature_grid = TokenGrid(tokens=scatter_tokens(pruned), grid_h=grid_h, grid_w=grid_w)
-        bundle = prato_score(feature_grid, box, weights.projections, cfg.roi_k, cfg.policy,
-                             cfg.sampling_ratio, tokens=pruned.tokens)
-        keep = bundle.mask.astype(bool)
-        if not keep.any():
-            raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
-        pruned.tokens = pruned.tokens[keep]
-        pruned.retained_coords = pruned.retained_coords[keep]
-        retained_per_stage.append(int(keep.sum()))
-        bundles.append(bundle)
-
-    if cfg.mask_mode == "zero":
-        pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
-
-    final_live = pruned.retained_count
-    flops_full, flops_pruned = estimate_flops(z, cfg.embed_dim, cfg.depth, tokens_per_block)
-    report = CostReport(
-        tokens_full=z,
-        tokens_retained=retained_per_stage,
-        token_sparsity=1.0 - final_live / z,
-        flops_full=flops_full,
-        flops_pruned=flops_pruned,
-        flops_reduction=1.0 - flops_pruned / flops_full,
-    )
-    return pruned, bundles, report
+    common = cfgs[0]  # depth, first stage, width, residual and LN epsilon are in the key
+    grid_h, grid_w = (n // common.patch_size for n in prefix.image.shape[1:])
+    z, first = grid_h * grid_w, common.stage_indices[0]
+    prompts = [_Prompt(bx, c, row_major_index_map(grid_h, grid_w), [z] * (first + 1), prefix.tokens)
+               for bx, c in zip(boxes, cfgs)]
+    for b in range(first, common.depth):  # every prompt has a stage after block first
+        live = [p for p in prompts if p.error is None]
+        if b > first:  # a group's stack passes on unchanged unless a stage changed the groups
+            todo, groups = _stack(live, common.embed_dim) if changed else groups, []
+            for p in live:
+                p.tokens_per_block.append(len(p.coords))
+            while todo:  # each input stack is freed once its block has run
+                stack, members = todo.pop(0)
+                try:
+                    stack = encode_tokens(stack, prefix.weights.blocks[b], sets=len(members),
+                                          residual=common.residual, ln_eps=common.ln_eps)
+                except Exception as exc:  # a failed stack reruns one set at a time
+                    if len(members) > 1:
+                        todo[:0] = [(p.tokens, [p]) for p in members]
+                    else:
+                        members[0].error = exc
+                    continue
+                for p, rows in zip(members, np.split(stack, len(members))):
+                    p.tokens = rows
+                groups.append((stack, members))
+        staged = [p for p in live if p.error is None and b in p.cfg.stage_indices]
+        for p in staged:
+            try:
+                _prune(p, b, grid_h, grid_w, prefix.weights.projections)
+            except Exception as exc:
+                p.error = exc
+        changed = bool(staged)
+    results = [_result(p, z, grid_h, grid_w) for p in prompts]
+    if not many and isinstance(results[0], Exception):
+        raise results[0]
+    return results if many else results[0]
 
 
 def run_batch(images, boxes, cfg: PipelineConfig):

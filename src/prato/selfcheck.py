@@ -199,6 +199,13 @@ def check_attention_rows(rng) -> bool:
                and np.array_equal(got[r, 1], got[r, 2]) for r in want)
 
 
+def check_stacked_sets(rng) -> bool:
+    x, w = rng.normal(size=(3 * 260, 48)), encoder.init_block_weights(48, 4, seed=6)
+    want = np.vstack([encoder.encode_tokens(part, w) for part in np.split(x, 3)])
+    np.full(x.shape, np.nan)  # freed at once, so a skipped set or part reads NaN, not the last run
+    return np.array_equal(encoder.encode_tokens(x, w, sets=3), want)
+
+
 def attention_oracle(x, w):
     """Unblocked attention: softmax(q k^T * 1/sqrt(d_h)) v per head, concatenated (before wo)."""
     scale = 1.0 / np.sqrt(x.shape[1] // w.heads)
@@ -220,6 +227,7 @@ CHECKS = [
     ("pipeline determinism", check_pipeline_determinism),
     ("zero-weight block is the identity", check_encoder_identity),
     ("encoder block: blocked vs unblocked, pooled vs serial", check_attention_rows),
+    ("encoder block: stacked sets vs one set at a time", check_stacked_sets),
 ]
 
 

@@ -213,16 +213,43 @@ def _retention_densities(pruned, used_box: BoxPrompt, original_box: BoxPrompt):
     flat = pruned.retained_coords[:, 0] * gw + pruned.retained_coords[:, 1]
     retained[flat] = True
 
-    def _density(box):
-        inside = token_in_box_mask(gh, gw, map_box_to_grid(box, gh, gw))
-        if not inside.any():
-            return 0.0
-        return float(retained[inside].mean())
+    def density(tokens):
+        return float(retained[tokens].mean()) if tokens.any() else 0.0
 
-    in_used = _density(used_box)
-    outside = ~token_in_box_mask(gh, gw, map_box_to_grid(used_box, gh, gw))
-    out_used = float(retained[outside].mean()) if outside.any() else 0.0
-    return in_used, out_used, _density(original_box)
+    used = token_in_box_mask(gh, gw, map_box_to_grid(used_box, gh, gw))
+    return (density(used), density(~used),
+            density(token_in_box_mask(gh, gw, map_box_to_grid(original_box, gh, gw))))
+
+
+SWEEP_CELLS = 8  # cells per run_pipeline call: stacks of up to 8 sets, 8 cells in memory at once
+
+
+def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int) -> dict:
+    """A cell's CSV row from its (tokens, bundles, report), or the exception it raised."""
+    policy, k, pert = cell
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(policy_mode=policy.mode, policy_value=repr(policy.value), k=k,
+               perturbation=pert.kind, magnitude=repr(pert.magnitude), seed=seed)
+    try:
+        if isinstance(result, Exception):
+            raise result
+        pruned, _, report = result
+        in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
+        row.update({
+            "Z": report.tokens_full,
+            "retained_final": pruned.retained_count,
+            "token_sparsity": repr(report.token_sparsity),
+            "flops_full": report.flops_full,
+            "flops_pruned": report.flops_pruned,
+            "flops_reduction": repr(report.flops_reduction),
+            "in_box_density": repr(in_d),
+            "out_box_density": repr(out_d),
+            "original_box_density": repr(orig_d),
+            "box_iou_with_tight": repr(box_iou(box, scene.tight_box)),
+        })
+    except Exception as exc:  # record and continue
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> dict:
@@ -231,8 +258,10 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     Output is deterministic: rerunning the same spec reproduces the CSV
     byte for byte. Failures of individual cells are recorded in the
     ``error`` column and the sweep continues. Each scene seed's scene,
-    weights and encoded prefix are computed once and shared by all its
-    cells; a prefix failure is recorded in every cell of that seed.
+    weights and encoded prefix are computed once; its cells then run
+    ``SWEEP_CELLS`` at a time as list-form :func:`run_pipeline` calls, which
+    run the cells with the same live token count through each block
+    together. A prefix failure is recorded in every cell of that seed.
     Rows are written policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -241,47 +270,27 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     for s in range(spec.seeds):
         scene_seed = spec.base_seed ^ s
         scene = generate_scene(spec.target_kind, spec.size, scene_seed)
-        prefix, prefix_error = None, ""
         try:
             prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
         except Exception as exc:  # recorded in every cell of this seed
-            prefix_error = f"{type(exc).__name__}: {exc}"
-        for i, (policy, k, pert) in enumerate(cells):
-            pert_rng = make_rng(scene_seed ^ 0x5EED)
-            box = perturb_prompt(scene.tight_box, pert, pert_rng)
-            row = {
-                "policy_mode": policy.mode,
-                "policy_value": repr(policy.value),
-                "k": k,
-                "perturbation": pert.kind,
-                "magnitude": repr(pert.magnitude),
-                "seed": scene_seed,
-                "error": "",
-            }
-            error = prefix_error
-            if not error:
-                try:  # a bad k fails here, in the cell's own config
-                    cfg = replace(spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
-                    pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix)
-                    in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
-                    row.update({
-                        "Z": report.tokens_full,
-                        "retained_final": pruned.retained_count,
-                        "token_sparsity": repr(report.token_sparsity),
-                        "flops_full": report.flops_full,
-                        "flops_pruned": report.flops_pruned,
-                        "flops_reduction": repr(report.flops_reduction),
-                        "in_box_density": repr(in_d),
-                        "out_box_density": repr(out_d),
-                        "original_box_density": repr(orig_d),
-                        "box_iou_with_tight": repr(box_iou(box, scene.tight_box)),
-                    })
-                except Exception as exc:  # record and continue
-                    error = f"{type(exc).__name__}: {exc}"
-            if error:
-                row.update({c: "" for c in CSV_COLUMNS if c not in row})
-                row["error"] = error
-            rows[i][s] = row
+            prefix = exc
+        boxes = [perturb_prompt(scene.tight_box, pert, make_rng(scene_seed ^ 0x5EED))
+                 for _, _, pert in cells]
+        results = {}  # cell index: the prefix error, or its config (or error), then its result
+        for i, (policy, k, _) in enumerate(cells):
+            try:  # a bad k fails here, in the cell's own config
+                results[i] = prefix if isinstance(prefix, Exception) else replace(
+                    spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
+            except Exception as exc:
+                results[i] = exc
+        for start in range(0, len(cells), SWEEP_CELLS):
+            chunk = range(start, min(start + SWEEP_CELLS, len(cells)))
+            ok = [i for i in chunk if isinstance(results[i], PipelineConfig)]
+            if ok:
+                results.update(zip(ok, run_pipeline(scene.image, [boxes[i] for i in ok],
+                                                    [results[i] for i in ok], prefix=prefix)))
+            for i in chunk:  # a row drops its cell's tokens and bundles
+                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed)
     rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -26,6 +26,11 @@ def _grid(tokens, gh, gw):
     return TokenGrid(tokens=tokens, grid_h=gh, grid_w=gw)
 
 
+def _oracle_per_set(x, w, sets=1):
+    """``attention_oracle`` over each of ``sets`` token sets stacked by rows, as ``_attention``."""
+    return np.vstack([attention_oracle(part, w) for part in np.split(x, sets)])
+
+
 class TestEncodeBlock:
     def test_zero_weights_is_identity(self):
         x = make_rng(0).normal(size=(12, 64))
@@ -69,7 +74,7 @@ class TestBlockedAttention:
         x = make_rng(n).normal(size=(n, width))
         w = init_block_weights(width, heads, seed=width + heads)
         got = encode_tokens(x, w, residual=residual)
-        monkeypatch.setattr(encoder, "_attention", attention_oracle)
+        monkeypatch.setattr(encoder, "_attention", _oracle_per_set)
         want = encode_tokens(x, w, residual=residual)
         if n <= encoder.QUERY_BLOCK or n % encoder.QUERY_BLOCK == 0:
             assert np.array_equal(got, want)
@@ -221,8 +226,8 @@ class TestPooledAttention:
         w = init_block_weights(32, 4, seed=12)
         attention, done = encoder._attention, []
 
-        def poisoned(x, w):
-            out = attention(x, w)
+        def poisoned(x, w, sets=1):
+            out = attention(x, w, sets)
             out[300 * bad_part + 7] = np.inf
             return out
 
@@ -239,6 +244,82 @@ class TestPooledAttention:
         time.sleep(0.05)
         # the good part ran its FFN; the bad part stopped at its LN2 check
         assert finished == len(done) == 1
+
+
+class TestStackedSets:
+    """``encode_tokens(x, w, sets=S)`` over S stacked token sets is S blocks over one set each."""
+
+    @pytest.mark.parametrize("n", [2, 3, 96, 97, 128, 192, 256, 257, 300])
+    @pytest.mark.parametrize("sets", [1, 2, 3, 8])
+    def test_bitwise_equal_to_one_set_at_a_time(self, monkeypatch, sets, n):
+        for width, heads in [(48, 1), (48, 3), (48, 4), (48, 8), (64, 1), (64, 4), (64, 8)]:
+            x = make_rng(sets * n + width + heads).normal(size=(sets * n, width))
+            w = init_block_weights(width, heads, seed=n + heads)
+            for residual in ("block", "sublayer"):
+                for cores in (1, 2, 3):
+                    monkeypatch.setattr(numerics, "_CORES", cores)
+                    want = [encode_tokens(part, w, residual=residual) for part in np.split(x, sets)]
+                    got = encode_tokens(x, w, residual=residual, sets=sets)
+                    assert np.array_equal(got, np.vstack(want)), (width, heads, residual, cores)
+
+    def test_sets_attend_only_to_themselves(self, monkeypatch):
+        x = make_rng(3).normal(size=(3 * 130, 48))
+        w = init_block_weights(48, 3, seed=3)
+        got = encode_tokens(x, w, sets=3)
+        monkeypatch.setattr(encoder, "_attention", _oracle_per_set)
+        assert np.abs(got - encode_tokens(x, w, sets=3)).max() <= 1e-14 * np.abs(got).max()
+        assert not np.allclose(got, encode_tokens(x, w))  # one set of 390 tokens mixes them
+
+    @pytest.mark.parametrize("rows, sets", [(10, 3), (7, 2), (5, 0), (4, -2)])
+    def test_rows_that_sets_does_not_divide_rejected(self, rows, sets):
+        w = init_block_weights(16, 2, seed=1)
+        with pytest.raises(ShapeError, match=f"{rows} rows do not stack {sets} equal sets"):
+            encode_tokens(make_rng(1).normal(size=(rows, 16)), w, sets=sets)
+
+    @pytest.mark.parametrize("sets", [2, 8])
+    def test_one_row_sets_rejected(self, sets):
+        # a lone one-row set multiplies by BLAS gemv and a stack of them by gemm, whose bits
+        # differ, so one-row sets only run alone
+        x = make_rng(2).normal(size=(sets, 16))
+        w = init_block_weights(16, 2, seed=2)
+        with pytest.raises(ShapeError, match="sets of two or more tokens"):
+            encode_tokens(x, w, sets=sets)
+        assert encode_tokens(x[:1], w).shape == (1, 16)
+
+    @pytest.mark.parametrize("n", [97, 128, 192, 300])
+    @pytest.mark.parametrize("width", [52, 100])
+    def test_bitwise_equal_where_blas_kernels_round_apart(self, monkeypatch, width, n):
+        # with 4 heads these widths leave N mod 8 at 4, where OpenBLAS rounds the products
+        # of tail parts above and below its small-matrix size apart
+        w = init_block_weights(width, 4, seed=width)
+        for sets, cores in [(2, 1), (3, 2), (8, 2)]:
+            monkeypatch.setattr(numerics, "_CORES", cores)
+            x = make_rng(sets * n).normal(size=(sets * n, width))
+            want = np.vstack([encode_tokens(part, w) for part in np.split(x, sets)])
+            assert np.array_equal(encode_tokens(x, w, sets=sets), want), (sets, cores)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n, sets", [(128, 8), (192, 8), (257, 3), (768, 1), (1024, 1),
+                                         (POOL_ABOVE + 1, 1), (40, 4), (3, 2)])
+    def test_tail_runs_each_set_in_its_lone_parts(self, monkeypatch, cores, n, sets):
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        x = make_rng(n).normal(size=(sets * n, 32))
+        w = init_block_weights(32, 4, seed=4)
+        seen = []
+
+        def spy(m):
+            seen.append((threading.get_ident(), len(m)))
+            return gelu(m)
+
+        monkeypatch.setattr(encoder, "gelu", spy)
+        for part in np.split(x, sets):
+            encode_tokens(part, w)
+        lone, seen[:] = sorted(rows for _, rows in seen), []
+        encode_tokens(x, w, sets=sets)
+        per = min(cores, n // 2) if n > POOL_ABOVE else 1
+        assert sorted(rows for _, rows in seen) == lone and len(lone) == sets * per
+        pooled = cores > 1 and sets * per > 1 and sets * n > POOL_ABOVE  # small stacks pool too
+        assert (len({ident for ident, _ in seen}) > 1) == pooled
 
 
 class TestElementwiseHelpers:

@@ -78,6 +78,22 @@ class TestLayerNorm:
             assert abs(mean) < 1e-10
             assert abs(var - 1.0) < 1e-10
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the extreme rows
+    @pytest.mark.parametrize("width", [1, 2, 7, 48, 64, 129, 300])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 3e5, 1e150, 1e300])
+    def test_bitwise_equal_to_mean_and_var(self, width, scale):
+        rng = make_rng(width)
+        m = np.vstack([
+            rng.normal(size=(3, width)) * scale,
+            np.full((1, width), 3.7 * scale),  # a constant row
+            rng.normal(loc=1e6, size=(1, width)) * min(scale, 1.0),  # mean far above spread
+            np.linspace(-1.0, 1.0, width)[None, :] * np.finfo(np.float64).max,
+        ])
+        for eps in (1e-12, 1e-6):
+            want = m - m.mean(axis=1, keepdims=True)
+            want /= np.sqrt(m.var(axis=1, keepdims=True) + eps)
+            assert np.array_equal(layer_norm(m, eps), want, equal_nan=True)
+
 
 class TestLogistic:
     def test_zero(self):

@@ -30,6 +30,7 @@ from prato.pipeline import (
     encode_prefix,
     estimate_flops,
     perturb_prompt,
+    prato_score,
     run_batch,
     run_pipeline,
     token_in_box_mask,
@@ -37,7 +38,8 @@ from prato.pipeline import (
 from prato.prune import ThresholdPolicy, retention_target, scatter_tokens
 from prato.roi import BoxPrompt, GridBox
 from prato.synth import generate_scene
-from prato.tokens import load_plane_csv
+from prato.encoder import encode_tokens
+from prato.tokens import TokenGrid, load_plane_csv, row_major_index_map, tokenize_image
 
 
 class TestFlopsModel:
@@ -587,3 +589,184 @@ class TestRunProperties:
             _assert_same_run(fresh, outcomes[name])
         scattered = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
         _assert_same_run(outcomes["zero"], (scattered, bundles, report))
+
+
+def _plain_loop(img, box, cfg):
+    """A run written as one loop over the blocks, gathering the kept rows after each stage."""
+    (c, h, w), p = img.shape, cfg.patch_size
+    weights = build_pipeline_weights(cfg, c, h // p, w // p)
+    tokens = tokenize_image(img, weights.embedder, p).tokens
+    coords, bundles = row_major_index_map(h // p, w // p), []
+    for b, block in enumerate(weights.blocks):
+        tokens = encode_tokens(tokens, block, residual=cfg.residual, ln_eps=cfg.ln_eps)
+        if b in cfg.stage_indices:
+            grid = np.zeros((h // p * (w // p), tokens.shape[1]))
+            grid[coords[:, 0] * (w // p) + coords[:, 1]] = tokens
+            bundle = prato_score(TokenGrid(grid, h // p, w // p), box, weights.projections,
+                                 cfg.roi_k, cfg.policy, cfg.sampling_ratio, tokens=tokens)
+            keep = bundle.mask.astype(bool)
+            tokens, coords = tokens[keep], coords[keep]
+            bundles.append(bundle)
+    return tokens, coords, bundles
+
+
+class TestAgainstPlainLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_small_runs())
+    def test_run_equals_a_plain_loop_over_the_blocks(self, case):
+        img, box, cfg = case
+        try:
+            pruned, bundles, _ = run_pipeline(img, box, cfg)
+        except PratoError:
+            return  # the laws of failing runs are TestRunProperties'
+        tokens, coords, want = _plain_loop(img, box, cfg)
+        if cfg.mask_mode == "zero":
+            tokens = scatter_tokens(replace(pruned, mode="compact", tokens=tokens))
+        assert np.array_equal(pruned.tokens, tokens)
+        assert np.array_equal(pruned.retained_coords, coords)
+        for got, bundle in zip(bundles, want, strict=True):
+            for f in fields(got):
+                assert np.array_equal(getattr(got, f.name), getattr(bundle, f.name)), f.name
+
+
+@st.composite
+def _prompt_mixes(draw):
+    """One image and 1-6 prompts whose configs share a prefix key and differ after it.
+
+    Percentile values come mostly from a short list, so live counts often match and
+    stack; 99 keeps one token, fixed 0.999999 keeps none, and a box 1e-12 wide is
+    degenerate. Width 52 leaves N mod 8 at 4, where OpenBLAS rounds products of short
+    and long row parts apart.
+    """
+    depth, heads = draw(st.integers(2, 4)), draw(st.sampled_from([1, 2, 4]))
+    first = draw(st.integers(0, depth - 1))
+    base = PipelineConfig(
+        depth=depth, stage_indices=(first,), patch_size=draw(st.sampled_from([4, 8])),
+        embed_dim=heads * draw(st.sampled_from([2, 4, 8, 16, 52 // heads])), heads=heads,
+        d_v=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2 ** 32 - 1)),
+        residual=draw(st.sampled_from(["block", "sublayer"])),
+        positional=draw(st.sampled_from(["sinusoidal", "learned", "none"])),
+        proj_tied=draw(st.booleans()),
+    )
+    shape = (draw(st.integers(1, 2)), 8 * draw(st.integers(1, 6)), 8 * draw(st.integers(1, 6)))
+    img = make_rng(draw(st.integers(0, 2 ** 16))).random(shape)
+    policies = st.one_of(
+        st.sampled_from([ThresholdPolicy("percentile", q) for q in (25.0, 50.0, 25.0, 99.0)]
+                        + [ThresholdPolicy("fixed", 0.999999)]),
+        st.builds(ThresholdPolicy, st.just("percentile"), st.floats(1.0, 99.0)),
+        st.builds(ThresholdPolicy, st.just("fixed"), st.floats(0.05, 0.95)),
+    )
+    edges = st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True).map(sorted)
+    boxes, cfgs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        (x1, x2), (y1, y2) = draw(edges), draw(edges)
+        width = 1e-12 if draw(st.integers(0, 9)) == 0 else (x2 - x1) / 16  # under 1e-9 tokens
+        boxes.append(BoxPrompt(x1 / 16, y1 / 16, x1 / 16 + width, y2 / 16))
+        later = draw(st.sets(st.integers(first + 1, depth - 1))) if first + 1 < depth else set()
+        cfgs.append(replace(base, stage_indices={first, *later}, policy=draw(policies),
+                            roi_k=draw(st.integers(1, 4)), sampling_ratio=draw(st.integers(1, 2)),
+                            mask_mode=draw(st.sampled_from(["compact", "zero"]))))
+    return img, boxes, cfgs
+
+
+def _run_alone(img, box, cfg):
+    try:
+        return run_pipeline(img, box, cfg)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_entry(got, want):
+    """A list-form entry is its single-prompt run: the same arrays, report, or exception."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same_run(got, want)
+        assert got[0].mode == want[0].mode and got[2].to_dict() == want[2].to_dict()
+
+
+class TestManyPrompts:
+    @settings(max_examples=80, deadline=None)
+    @given(_prompt_mixes(), st.sampled_from([1, 2]), st.booleans())
+    def test_each_entry_equals_its_single_prompt_run(self, case, cores, given_prefix):
+        img, boxes, cfgs = case
+        saved = numerics._CORES
+        try:
+            # at width 52 OpenBLAS rounds one- and two-core tail parts apart, so compare there
+            # at one core count; elsewhere the lone runs also pin the core count
+            numerics._CORES = cores if cfgs[0].embed_dim == 52 else 1
+            alone = [_run_alone(img, box, cfg) for box, cfg in zip(boxes, cfgs)]
+            numerics._CORES = cores
+            prefix = encode_prefix(img, cfgs[-1]) if given_prefix else None
+            together = run_pipeline(img, boxes, cfgs, prefix=prefix)
+        finally:
+            numerics._CORES = saved
+        assert len(together) == len(alone)
+        for got, want in zip(together, alone):
+            _assert_same_entry(got, want)
+
+    def test_prompts_with_equal_live_counts_share_each_block(self, monkeypatch):
+        scene = generate_scene("ellipse", 128, seed=3)
+        cfg = PipelineConfig(depth=4, seed=3)
+        policies = [ThresholdPolicy("percentile", q) for q in (25.0, 50.0, 25.0, 99.0, 99.0)]
+        cfgs = [replace(cfg, policy=p) for p in policies]
+        calls, real = [], pipeline.encode_tokens
+
+        def spy(x, w, residual="block", ln_eps=1e-6, sets=1):
+            calls.append((len(x), sets))
+            return real(x, w, residual, ln_eps, sets)
+
+        monkeypatch.setattr(pipeline, "encode_tokens", spy)
+        prefix = encode_prefix(scene.image, cfg)
+        results = run_pipeline(scene.image, [scene.tight_box] * 5, cfgs, prefix=prefix)
+        # Z = 64: 48 kept at q25 (two prompts, one stack), 32 at q50, 1 at q99 (each alone)
+        assert calls == [(64, 1)] * 2 + [(96, 2), (32, 1), (1, 1), (1, 1)] * 2
+        monkeypatch.undo()
+        for got, c in zip(results, cfgs):
+            _assert_same_entry(got, _run_alone(scene.image, scene.tight_box, c))
+
+    def test_failed_stack_reruns_each_set_alone(self, monkeypatch):
+        scene = generate_scene("blob", 128, seed=4)
+        cfg = PipelineConfig(depth=4, seed=4)
+        cfgs = [replace(cfg, policy=ThresholdPolicy("percentile", q)) for q in (25.0, 50.0, 25.0)]
+        real = pipeline.encode_tokens
+
+        def flaky(x, w, residual="block", ln_eps=1e-6, sets=1):
+            if sets > 1 or len(x) == 32:  # every stack fails, and the q50 prompt fails alone
+                raise ValidationError("tokens contains non-finite entries")
+            return real(x, w, residual, ln_eps, sets)
+
+        monkeypatch.setattr(pipeline, "encode_tokens", flaky)
+        results = run_pipeline(scene.image, [scene.tight_box] * 3, cfgs)
+        alone = [_run_alone(scene.image, scene.tight_box, c) for c in cfgs]
+        assert [type(r) for r in alone] == [tuple, ValidationError, tuple]
+        for got, want in zip(results, alone):
+            _assert_same_entry(got, want)
+
+    def test_single_prompt_raises_what_its_entry_holds(self):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=2, seed=0, policy=ThresholdPolicy("fixed", 0.999999))
+        (entry,) = run_pipeline(scene.image, [scene.tight_box], [cfg])
+        assert isinstance(entry, EmptyRetentionError)
+        with pytest.raises(EmptyRetentionError, match=str(entry)):
+            run_pipeline(scene.image, scene.tight_box, cfg)
+
+    @pytest.mark.parametrize("boxes, cfgs", [
+        ([_mid_box()] * 2, [PipelineConfig(depth=2)]),
+        ([], []),
+        ([_mid_box()], PipelineConfig(depth=2)),
+        (_mid_box(), [PipelineConfig(depth=2)]),
+    ])
+    def test_unpaired_lists_rejected(self, boxes, cfgs):
+        scene = generate_scene("ellipse", 64, seed=0)
+        with pytest.raises(ShapeError, match="lists of equal length"):
+            run_pipeline(scene.image, boxes, cfgs)
+
+    @pytest.mark.parametrize("given_prefix", [False, True])
+    def test_config_under_other_prefix_key_rejected(self, given_prefix):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=4, seed=0)
+        prefix = encode_prefix(scene.image, cfg) if given_prefix else None
+        with pytest.raises(ConfigurationError, match="different key: first_stage 1 != 2"):
+            run_pipeline(scene.image, [_mid_box()] * 2, [cfg, replace(cfg, stage_indices=(2,))],
+                         prefix=prefix)

@@ -360,24 +360,43 @@ class TestSweepPrefixReuse:
         assert summary["failed_rows"] > 0
         assert (tmp_path / "sweep.csv").read_bytes() == _reference_sweep_csv(spec)
 
-    @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
-    def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing):
-        calls = {}
+    @pytest.mark.parametrize("per_call", [1, 3])
+    def test_bytes_equal_for_any_cells_per_call(self, tmp_path, monkeypatch, per_call):
+        spec = _small_spec(**_FAILING_SPECS["cell"])  # 8 cells a seed, some failing
+        run_sweep(spec, tmp_path / "one_call")
+        monkeypatch.setattr(prato.synth, "SWEEP_CELLS", per_call)
+        run_sweep(spec, tmp_path / "chunked")
+        for name in ("sweep.csv", "summary.json"):
+            assert (tmp_path / "chunked" / name).read_bytes() == \
+                (tmp_path / "one_call" / name).read_bytes()
 
-        def counting(module, name):
+    @pytest.mark.parametrize("per_call", [prato.synth.SWEEP_CELLS, 3])
+    @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
+    def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing, per_call):
+        monkeypatch.setattr(prato.synth, "SWEEP_CELLS", per_call)
+        calls, built, results, block_rows = {}, [], [], {}
+
+        def counting(module, name, seen=None):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
+                if seen is not None:
+                    seen(args, out)
+                return out
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((prato.synth, "generate_scene"), (prato.synth, "encode_prefix"),
-                             (prato.synth, "run_pipeline"),
-                             (prato.pipeline, "build_pipeline_weights"),
-                             (prato.pipeline, "encode_tokens")):
-            counting(module, name)
+        def block_of(args, out):  # (seed index, block index): rows of each encode_tokens call
+            b = next(b for b, w in enumerate(built[-1].blocks) if w is args[1])
+            block_rows.setdefault((len(built) - 1, b), []).append(len(args[0]))
+
+        counting(prato.synth, "generate_scene")
+        counting(prato.synth, "encode_prefix")
+        counting(prato.synth, "run_pipeline", lambda args, out: results.append(out))
+        counting(prato.pipeline, "build_pipeline_weights", lambda args, out: built.append(out))
+        counting(prato.pipeline, "encode_tokens", block_of)
         spec = _small_spec(**_FAILING_SPECS[failing])
         summary = run_sweep(spec, tmp_path)
         n_cells = len(spec.policies) * len(spec.k_values) * len(spec.perturbations)
@@ -388,8 +407,24 @@ class TestSweepPrefixReuse:
             assert "run_pipeline" not in calls and "build_pipeline_weights" not in calls
             return
         assert calls["build_pipeline_weights"] == spec.seeds
-        assert calls["run_pipeline"] == n_cells * spec.seeds
-        # the prefix blocks run once per seed; the failing cells stop at the first stage
+        # per seed, one run_pipeline call per SWEEP_CELLS cells, holding those cells
+        chunks = [min(per_call, n_cells - i) for i in range(0, n_cells, per_call)]
+        assert calls["run_pipeline"] == spec.seeds * len(chunks)
+        assert [len(out) for out in results] == chunks * spec.seeds
         first = cfg.stage_indices[0]
-        ok_rows = summary["total_rows"] - summary["failed_rows"]
-        assert calls["encode_tokens"] == spec.seeds * (first + 1) + ok_rows * (cfg.depth - first - 1)
+        ok = [[r for r in out if not isinstance(r, Exception)] for out in results]
+        assert sum(map(len, ok)) == summary["total_rows"] - summary["failed_rows"]
+        for s in range(spec.seeds):
+            per_seed = ok[s * len(chunks):(s + 1) * len(chunks)]
+            z = per_seed[0][0][2].tokens_full
+            # the prefix blocks run once per seed
+            for b in range(first + 1):
+                assert block_rows[s, b] == [z]
+            # a later block runs each ok cell's live tokens once, one call per live count of
+            # each call's cells; the failing cells stop at the first stage
+            for b in range(first + 1, cfg.depth):
+                last = max(i for i, stage in enumerate(cfg.stage_indices) if stage < b)
+                live = [[report.tokens_retained[last] for _, _, report in out] for out in per_seed]
+                assert sum(block_rows[s, b]) == sum(map(sum, live))
+                assert len(block_rows[s, b]) == sum(len(set(counts)) for counts in live)
+        assert calls["encode_tokens"] == sum(map(len, block_rows.values()))
