@@ -24,7 +24,7 @@ from .numerics import load_json, open_new
 from .pipeline import PipelineConfig, config_from_dict, run_pipeline
 from .prune import ThresholdPolicy
 from .roi import load_box
-from .synth import generate_scene, run_sweep, save_scene, sweep_spec_from_dict
+from .synth import TARGET_KINDS, generate_scene, run_sweep, save_scene, sweep_spec_from_dict
 from .tokens import load_image, load_plane_csv
 
 
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--count", type=int, default=10)
     p_synth.add_argument("--size", type=int, default=128)
-    p_synth.add_argument("--kind", choices=("ellipse", "rectangle", "blob"), default="ellipse")
+    p_synth.add_argument("--kind", choices=TARGET_KINDS, default="ellipse")
     p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.set_defaults(func=_cmd_synth)
 

@@ -27,7 +27,7 @@ one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
 G = ``group_count(heads)``, each group reusing one (min(n, 256), n) score buffer
 that the caller allocates; then the tail runs S*P parts, P = ``group_count(n // 2)``
 (1 for n <= 96), part i of set s on rows s*n + n*i//P up to s*n + n*(i+1)//P.
-A part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
+A split set's part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
 bits differ from gemm's, and OpenBLAS 0.3.31 gemm (as measured at widths 48 and 64)
 gives a block of two or more rows the bits of the whole product, so output is the
 same for all G, P.
@@ -42,7 +42,7 @@ from scipy.special import erf
 
 from . import numerics
 from .errors import ShapeError
-from .numerics import as_matrix, fan_out, gaussian_matrix, layer_norm, make_rng, softmax_rows
+from .numerics import as_matrix, fan_out, layer_norm, make_rng, softmax_rows
 from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
@@ -107,7 +107,7 @@ def init_block_weights(width: int, heads: int, seed: int = 0, std: float = 0.02)
         raise ShapeError(f"embed width {width} is not divisible by {heads} heads")
     d_h = width // heads
     rng = make_rng(seed)
-    draw = lambda r, c: gaussian_matrix(rng, r, c, std)
+    draw = lambda r, c: rng.normal(0.0, std, (r, c))
     return BlockWeights(
         wq=[draw(width, d_h) for _ in range(heads)],
         wk=[draw(width, d_h) for _ in range(heads)],
@@ -166,8 +166,8 @@ def encode_tokens(
     if residual not in ("block", "sublayer"):
         raise ShapeError(f"unknown residual mode {residual!r}")
     rows = len(x)
-    if sets < 1 or rows % sets or (sets > 1 and rows == sets):
-        raise ShapeError(f"{rows} rows do not stack {sets} equal sets of two or more tokens")
+    if sets < 1 or rows % sets:
+        raise ShapeError(f"{rows} rows do not stack {sets} equal sets")
     n = rows // sets
     out = _attention(layer_norm(x, ln_eps), w, sets)  # each part overwrites its own rows
     per = numerics.group_count(n // 2) if n > POOL_ABOVE else 1  # a lone set's tail parts

@@ -26,15 +26,7 @@ class RangeError(PratoError, ValueError):
 
 
 class EmptyRetentionError(PratoError, RuntimeError):
-    """A pruning mask retained zero tokens.
-
-    ``stage`` carries the index of the pruning stage when raised from a
-    pipeline run, otherwise None.
-    """
-
-    def __init__(self, message: str, stage: int | None = None):
-        super().__init__(message)
-        self.stage = stage
+    """A pruning mask retained zero tokens."""
 
 
 class UndefinedMetricError(PratoError, ValueError):

@@ -119,11 +119,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
-    """Draw a rows x cols float64 matrix of N(0, std^2) samples."""
-    return rng.normal(0.0, std, size=(rows, cols))
-
-
 def open_new(path, mode: str = "w", **kw):
     """Open ``path`` as a new file, unlinking an existing target first.
 

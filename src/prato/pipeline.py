@@ -330,7 +330,7 @@ def prato_score(
     region = roi_align(grid, gbox, k, sampling_ratio)
     similarity = compute_similarity(region, grid.tokens if tokens is None else tokens, proj)
     entropies = entropy_rows(softmax_rows(similarity))
-    _, weights = inverse_entropy_weights(entropies)
+    weights = inverse_entropy_weights(entropies)
     relevance = relevance_scores(similarity, weights)
     mask, tau = build_mask(relevance, policy)
     return RelevanceBundle(
@@ -410,18 +410,17 @@ class _Prompt:
 
 def _stack(prompts, width: int) -> list:
     """(stack, members) per live count, member j on stack rows j*n up to (j+1)*n, filled
-    straight from its kept rows. One-row sets run alone: a one-row matmul rounds differently."""
+    straight from its kept rows."""
     by_count = {}
     for p in prompts:
         by_count.setdefault(len(p.coords), []).append(p)
     groups = []
-    for n, same in by_count.items():
-        for members in [same] if n > 1 else [[p] for p in same]:
-            stack = np.empty((len(members) * n, width))
-            for p, rows in zip(members, np.split(stack, len(members))):
-                np.compress(np.ones(n, bool) if p.keep is None else p.keep, p.tokens, 0, out=rows)
-                p.tokens, p.keep = rows, None
-            groups.append((stack, members))
+    for n, members in by_count.items():
+        stack = np.empty((len(members) * n, width))
+        for p, rows in zip(members, np.split(stack, len(members))):
+            np.compress(np.ones(n, bool) if p.keep is None else p.keep, p.tokens, 0, out=rows)
+            p.tokens, p.keep = rows, None
+        groups.append((stack, members))
     return groups
 
 
@@ -433,7 +432,7 @@ def _prune(p: _Prompt, b: int, grid_h: int, grid_w: int, proj: Projections) -> N
                          tokens=p.tokens)
     keep = bundle.mask.astype(bool)
     if not keep.any():
-        raise EmptyRetentionError(f"stage after block {b} retained zero tokens", stage=b)
+        raise EmptyRetentionError(f"stage after block {b} retained zero tokens")
     p.coords, p.keep = p.coords[keep], keep
     p.bundles.append(bundle)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, gaussian_matrix, logistic, make_rng
+from .numerics import as_matrix, logistic, make_rng
 
 
 @dataclass
@@ -54,8 +54,8 @@ class Projections:
 def make_projections(width: int, d_v: int, seed: int = 0, tied: bool = True) -> Projections:
     rng = make_rng(seed)
     std = 1.0 / math.sqrt(width)
-    f1 = gaussian_matrix(rng, width, d_v, std)
-    f2 = f1.copy() if tied else gaussian_matrix(rng, width, d_v, std)
+    f1 = rng.normal(0.0, std, (width, d_v))
+    f2 = f1.copy() if tied else rng.normal(0.0, std, (width, d_v))
     return Projections(f1=f1, f2=f2)
 
 
@@ -142,26 +142,22 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_entropy_weights(entropies) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized ascending ranks R and inverse weights 1 - R.
+def inverse_entropy_weights(entropies) -> np.ndarray:
+    """Inverse weights 1 - R of the normalized ascending entropy ranks R.
 
-    Ties rank by original index. Sorted R and sorted weights are both
-    exactly the uniform grid {0, 1/(M-1), ..., 1}; a single entry gives
-    R = [0], weights = [1].
+    Ties rank by original index. Sorted weights are exactly the uniform
+    grid {0, 1/(M-1), ..., 1}; a single entry gives weights = [1].
     """
     e = np.asarray(entropies, dtype=np.float64).ravel()
     m = e.size
     if m == 0:
         raise ValidationError("empty entropy vector")
     if m == 1:
-        return np.zeros(1), np.ones(1)
+        return np.ones(1)
     order = np.argsort(e, kind="stable")
     ranks_int = np.empty(m, dtype=np.int64)
     ranks_int[order] = np.arange(m)
-    denom = float(m - 1)
-    ranks = ranks_int / denom
-    weights = (m - 1 - ranks_int) / denom
-    return ranks, weights
+    return (m - 1 - ranks_int) / float(m - 1)
 
 
 def relevance_scores(similarity, weights) -> np.ndarray:

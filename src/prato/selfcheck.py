@@ -44,7 +44,7 @@ def check_rank_uniformity(rng) -> bool:
     m = 25
     grid = np.arange(m) / (m - 1)
     for _ in range(50):
-        _, w = inverse_entropy_weights(rng.normal(size=m))
+        w = inverse_entropy_weights(rng.normal(size=m))
         if not np.array_equal(np.sort(w), grid):
             return False
     return True
@@ -61,7 +61,7 @@ def check_concentrated_retention(rng) -> bool:
             wts = rng.uniform(0.5, 1.5, size=size_t)
             probs[i, members] = (1 - eps) * wts / wts.sum()
         s = np.log(probs)
-        weights = inverse_entropy_weights(prune.entropy_rows(numerics.softmax_rows(s)))[1]
+        weights = inverse_entropy_weights(prune.entropy_rows(numerics.softmax_rows(s)))
         mask, _ = build_mask(prune.relevance_scores(s, weights), ThresholdPolicy("percentile", 75.0))
         if not (np.all(mask[members] == 1) and size_t < z):
             return False

@@ -34,7 +34,6 @@ from .roi import BoxPrompt, map_box_to_grid, save_box
 from .tokens import save_image
 
 TARGET_KINDS = ("ellipse", "rectangle", "blob")
-AREA_BOUNDS = (0.02, 0.4)
 # below 15 px the widest blob draw leaves no room for its margin; one 4096^2 plane is 128 MiB
 SCENE_SIZE_MIN, SCENE_SIZE_MAX = 16, 4096
 

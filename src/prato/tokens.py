@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, gaussian_matrix, load_matrix_csv, make_rng, open_new
+from .numerics import as_matrix, load_matrix_csv, make_rng, open_new
 from .numerics import read_container
 
 IMAGE_MAGIC = b"PRTI"
@@ -127,12 +127,12 @@ def make_embedder(
 ) -> EmbedderWeights:
     """Build embedding weights: seeded N(0, 0.02^2) projection, fixed or learned positions."""
     rng = make_rng(seed)
-    proj = gaussian_matrix(rng, channels * patch_size * patch_size, width, 0.02)
+    proj = rng.normal(0.0, 0.02, (channels * patch_size * patch_size, width))
     z = grid_h * grid_w
     if positional == "sinusoidal":
         pos = sinusoidal_positions(z, width)
     elif positional == "learned":
-        pos = gaussian_matrix(rng, z, width, 0.02)
+        pos = rng.normal(0.0, 0.02, (z, width))
     elif positional == "none":
         pos = np.zeros((z, width))
     else:

@@ -92,7 +92,7 @@ def test_criterion_03_rank_weight_uniformity():
     ok = True
     sup_worst = 0.0
     for _ in range(1000):
-        _, w = inverse_entropy_weights(rng.normal(size=m))
+        w = inverse_entropy_weights(rng.normal(size=m))
         ok &= np.array_equal(np.sort(w), grid)
         xs = np.sort(w)
         ecdf_hi = np.abs((np.arange(1, m + 1) / m) - xs).max()
@@ -123,7 +123,7 @@ def test_criterion_04_concentrated_retention():
         assert size_t <= z * 2.0 ** (-delta)
         assert np.all(probs[:, members].sum(axis=1) >= 1 - eps - 1e-12)
         scores = np.log(probs)
-        weights = inverse_entropy_weights(entropy_rows(softmax_rows(scores)))[1]
+        weights = inverse_entropy_weights(entropy_rows(softmax_rows(scores)))
         relevance = relevance_scores(scores, weights)
         mask, _ = build_mask(relevance, ThresholdPolicy("percentile", 75.0))
         assert int(mask.sum()) >= size_t  # policy retains at least |S_T| tokens

@@ -88,19 +88,13 @@ class TestComputeEntropy:
 
 class TestInverseEntropyWeights:
     def test_rank_definition(self):
-        r, w = inverse_entropy_weights([0.2, 0.9, 0.5])
-        assert np.array_equal(r, [0.0, 1.0, 0.5])
-        assert np.array_equal(w, [1.0, 0.0, 0.5])
+        assert np.array_equal(inverse_entropy_weights([0.2, 0.9, 0.5]), [1.0, 0.0, 0.5])
 
     def test_tie_rule_by_index(self):
-        r, w = inverse_entropy_weights([0.7, 0.7, 0.7])
-        assert np.array_equal(r, [0.0, 0.5, 1.0])
-        assert np.array_equal(w, [1.0, 0.5, 0.0])
+        assert np.array_equal(inverse_entropy_weights([0.7, 0.7, 0.7]), [1.0, 0.5, 0.0])
 
     def test_single_entry(self):
-        r, w = inverse_entropy_weights([3.2])
-        assert np.array_equal(r, [0.0])
-        assert np.array_equal(w, [1.0])
+        assert np.array_equal(inverse_entropy_weights([3.2]), [1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -112,16 +106,14 @@ class TestInverseEntropyWeights:
         grid = np.arange(m) / (m - 1)
         rng = make_rng(6)
         for _ in range(100):
-            _, w = inverse_entropy_weights(rng.normal(size=m))
+            w = inverse_entropy_weights(rng.normal(size=m))
             assert np.array_equal(np.sort(w), grid)
 
     def test_weights_reflect_ranks(self):
-        rng = make_rng(7)
-        r, w = inverse_entropy_weights(rng.normal(size=25))
-        # the reflection identity holds exactly in the rationals; float64
-        # evaluation of 1 - r can differ from w by one ulp
-        assert np.abs(w - (1.0 - r)).max() <= 2 ** -52
-        assert np.array_equal(np.sort(w), np.sort(r))
+        e = make_rng(7).normal(size=25)
+        # in stable entropy order the weights step down from 1 to 0 by exactly 1/(M-1)
+        assert np.array_equal(inverse_entropy_weights(e)[np.argsort(e, kind="stable")],
+                              np.arange(24, -1, -1) / 24)
 
 
 class TestRelevanceScores:
@@ -263,7 +255,7 @@ class TestPratoScore:
         m = bundle.similarity.shape[0]
         assert m == 16
         assert np.array_equal(bundle.entropies, entropy_rows(softmax_rows(bundle.similarity)))
-        assert np.array_equal(bundle.weights, inverse_entropy_weights(bundle.entropies)[1])
+        assert np.array_equal(bundle.weights, inverse_entropy_weights(bundle.entropies))
         assert np.all(bundle.entropies >= 0.0)
         assert np.all(bundle.entropies <= math.log2(grid.z) + 1e-12)
         assert set(np.unique(bundle.mask)) <= {0, 1}
@@ -296,7 +288,7 @@ class TestConcentratedRetention:
         assert np.all(probs[:, members].sum(axis=1) >= 1 - eps - 1e-12)
         s = np.log(probs)
         recovered = softmax_rows(s)
-        weights = inverse_entropy_weights(entropy_rows(recovered))[1]
+        weights = inverse_entropy_weights(entropy_rows(recovered))
         relevance = relevance_scores(s, weights)
         mask, _ = build_mask(relevance, ThresholdPolicy("percentile", 75.0))
         assert int(mask.sum()) >= size_t

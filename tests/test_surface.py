@@ -4,6 +4,9 @@
 - Every parameter with a default is passed by some call, by name or by
   position.
 - Every dataclass field and public property is read.
+- Every attribute an exception class sets on ``self`` is read.
+- Every public upper-case module constant is read.
+- Every element of a returned tuple is read by some call.
 - Every import in ``src/prato``, but the re-exports of ``__init__.py``,
   and in ``demos/`` is used.
 
@@ -234,3 +237,163 @@ def test_guard_flags_an_unused_import(tmp_path):
                    "from .sibling import Grid\n"
                    "def f(g: Grid):\n    return np.zeros(1), os.sep\n")
     assert unused_imports([mod]) == ["mod.py:dumps", "mod.py:parse"]
+
+
+def _is_exception(cls) -> bool:
+    return any((getattr(b, "id", None) or getattr(b, "attr", "")).endswith(("Error", "Exception"))
+               for b in cls.bases)
+
+
+def _loaded_attrs(trees) -> set:
+    return {node.attr for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_exception_attrs(src: Path, callers: list) -> list:
+    """``module.Class.attr`` of each attribute an exception class sets on ``self`` that no
+    attribute read in ``src`` or ``callers`` takes."""
+    modules = _modules(src)
+    read = _loaded_attrs(list(modules.values()) + [ast.parse(p.read_text()) for p in callers])
+    unread = []
+    for path, tree in modules.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and _is_exception(n)):
+            stored = dict.fromkeys(n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                                   and isinstance(n.ctx, ast.Store)
+                                   and getattr(n.value, "id", None) == "self")
+            unread += [f"{path.stem}.{cls.name}.{a}" for a in stored if a not in read]
+    return unread
+
+
+def test_every_exception_attribute_is_read_outside_the_tests():
+    assert unread_exception_attrs(SRC, CALLERS) == []
+
+
+def test_guard_flags_an_exception_attribute_only_tests_read(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import Failure\nFailure('m').unread\n")
+    (pkg / "a.py").write_text(
+        "class Failure(ValueError):\n"
+        "    def __init__(self, message, read=0, unread=0):\n"
+        "        super().__init__(message)\n"
+        "        self.read, self.unread = read, unread\n"
+        "class Plain:\n"
+        "    def __init__(self):\n"
+        "        self.unread = 0\n")  # not an exception
+    (pkg / "b.py").write_text("def f(exc):\n    return exc.read\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("NAMES = ['unread']\n")  # strings are not reads
+    assert unread_exception_attrs(pkg, [demo]) == ["a.Failure.unread"]
+
+
+def unread_constants(src: Path, callers: list) -> list:
+    """``module.NAME`` of each public upper-case module-level name, tuple targets included,
+    that no name or attribute read in ``src`` or ``callers`` takes."""
+    modules = _modules(src)
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in callers]
+    read = _loaded_attrs(trees) | {node.id for t in trees for node in ast.walk(t)
+                                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in modules.items():
+        targets = [t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
+        targets += [n.target for n in tree.body if isinstance(n, ast.AnnAssign)]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        unread += [f"{path.stem}.{name}" for name in names
+                   if name.isupper() and not name.startswith("_") and name not in read]
+    return unread
+
+
+def test_every_constant_is_read_outside_the_tests():
+    assert unread_constants(SRC, CALLERS) == []
+
+
+def test_guard_flags_a_constant_only_tests_read(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import UNREAD\nprint(UNREAD)\n")
+    (pkg / "a.py").write_text(
+        "READ = 1\nUNREAD = 2\n_PRIVATE = 3\nlower = 4\nLOW, HIGH = 0, 9\n"
+        "def f():\n    return READ + HIGH\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("NAMES = ['LOW']\n")  # strings are not reads
+    assert unread_constants(pkg, [demo]) == ["a.UNREAD", "a.LOW"]
+
+
+def _returns(fn) -> list:
+    """Return statements of ``fn`` itself, not of the functions and classes it defines."""
+    todo, found = list(fn.body), []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _literal(node):
+    """The value of a literal such as ``-1``, or None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def discarded_elements(src: Path, callers: list) -> list:
+    """``module.function[i]`` of each element of a returned tuple that every reference in
+    ``src`` or ``callers`` throws away. A function counts when all its returns are tuple
+    displays of one length. A call reads only the elements it unpacks into names other than
+    ``_``, or the constant index it takes; any other reference uses the result whole and reads
+    every element."""
+    modules = _modules(src)
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in callers]
+    sizes = {}
+    for path, tree in modules.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                values = [r.value for r in _returns(fn)]
+                lengths = {len(v.elts) if isinstance(v, ast.Tuple) else 0 for v in values}
+                if len(lengths) == 1 and lengths != {0}:
+                    sizes[fn.name] = (path.stem, lengths.pop())
+    read = {name: set() for name in sizes}
+    for tree in trees:
+        taken = {}  # id of a call: the elements that its unpacking or indexing reads
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Tuple) \
+                    and not any(isinstance(t, ast.Starred) for t in node.targets[0].elts):
+                taken[id(node.value)] = {i for i, t in enumerate(node.targets[0].elts)
+                                         if getattr(t, "id", None) != "_"}
+            elif isinstance(node, ast.Subscript) and isinstance(_literal(node.slice), int):
+                taken[id(node.value)] = {_literal(node.slice)}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in read and isinstance(getattr(node, "ctx", None), ast.Load):
+                size = sizes[name][1]
+                read[name] |= {i % size for i in taken.get(id(calls.get(id(node))), range(size))}
+    return [f"{sizes[name][0]}.{name}[{i}]" for name in sizes for i in range(sizes[name][1])
+            if i not in read[name]]
+
+
+def test_every_returned_element_is_read_outside_the_tests():
+    assert discarded_elements(SRC, CALLERS) == []
+
+
+def test_guard_flags_a_returned_element_every_call_discards(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import pair\nr, s, t = pair()\n")
+    (pkg / "a.py").write_text(
+        "def pair():\n"
+        "    if True:\n        return 1, 2, 3\n"
+        "    def inner():\n        return 0\n"  # a nested def's returns are its own
+        "    return 4, 5, 6\n"
+        "def whole():\n    return 7, 8\n"
+        "def mixed(x):\n    return (1, 2) if x else None\n")
+    (pkg / "b.py").write_text("from .a import pair, whole\n"
+                              "_, b, _ = pair()\nc = pair()[-1]\n"
+                              "_, _ = whole()\nvalues = list(map(whole, [0]))\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("NAMES = ['pair']\n")
+    assert discarded_elements(pkg, [demo]) == ["a.pair[0]"]

@@ -22,7 +22,6 @@ from prato.pipeline import (
 )
 from prato.prune import ThresholdPolicy
 from prato.synth import (
-    AREA_BOUNDS,
     CSV_COLUMNS,
     SCENE_SIZE_MAX,
     SCENE_SIZE_MIN,
@@ -34,6 +33,8 @@ from prato.synth import (
     sweep_spec_from_dict,
     tight_box,
 )
+
+AREA_BOUNDS = (0.02, 0.4)  # target area fraction of any generated scene
 
 
 class TestGenerateScene:
