@@ -6,6 +6,12 @@ similarity) and prunes the low-relevance tokens, reporting retained
 counts, token sparsity, and modeled FLOPs savings.
 """
 
+import os
+
+# bits are reproducible with BLAS on one thread; set before numpy loads, and a caller's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .errors import (
     ConfigurationError,
     DegeneratePromptError,

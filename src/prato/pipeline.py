@@ -19,8 +19,10 @@ weights (unless they are passed), tokenizes, and runs blocks
 policy or ``roi_k``. The continuation scores, masks and encodes the
 remaining blocks and builds the :class:`CostReport`. A caller may pass a
 prefix it encoded earlier to run only the continuation, and may pass many
-prompts at once: the sweep runs all cells of a scene seed on one prefix, and
-cells with the same live token count through each later block together.
+prompts at once on one prefix: prompts with the same box, ``roi_k`` and
+``sampling_ratio`` share the first stage's scoring (read-only) and differ
+only in the mask their policy cuts, and prompts with the same live token
+count run through each later block together.
 Reuse goes by key, never by shape: weights carry their
 :func:`weights_key` (seed, depth, patch size, embed width, heads, d_v,
 positional mode, projection tying, and the image's channels, height and
@@ -424,12 +426,20 @@ def _stack(prompts, width: int) -> list:
     return groups
 
 
-def _prune(p: _Prompt, b: int, grid_h: int, grid_w: int, proj: Projections) -> None:
-    """Score a prompt's live tokens after block ``b``, and keep the mask of those it keeps."""
-    grid = TokenGrid(scatter_tokens(PrunedTokens("compact", p.tokens, p.coords, grid_h, grid_w)),
-                     grid_h, grid_w)
-    bundle = prato_score(grid, p.box, proj, p.cfg.roi_k, p.cfg.policy, p.cfg.sampling_ratio,
-                         tokens=p.tokens)
+def _prune(p: _Prompt, b: int, grid_h: int, grid_w: int, proj: Projections, scored: dict) -> None:
+    """Score a prompt's live tokens after block ``b``, and keep the mask of those it keeps; a
+    region (box, roi_k, sampling_ratio) in ``scored`` was scored on the same tokens: reuse it."""
+    region = (p.box, p.cfg.roi_k, p.cfg.sampling_ratio)
+    if region in scored:
+        bundle = replace(scored[region])  # shares the arrays, made read-only
+        for a in (bundle.similarity, bundle.entropies, bundle.weights, bundle.relevance):
+            a.flags.writeable = False
+        bundle.mask, bundle.tau_effective = build_mask(bundle.relevance, p.cfg.policy)
+    else:
+        grid = TokenGrid(scatter_tokens(PrunedTokens("compact", p.tokens, p.coords, grid_h, grid_w)),
+                         grid_h, grid_w)
+        bundle = scored[region] = prato_score(grid, p.box, proj, p.cfg.roi_k, p.cfg.policy,
+                                              p.cfg.sampling_ratio, tokens=p.tokens)
     keep = bundle.mask.astype(bool)
     if not keep.any():
         raise EmptyRetentionError(f"stage after block {b} retained zero tokens")
@@ -505,9 +515,10 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
                     p.tokens = rows
                 groups.append((stack, members))
         staged = [p for p in live if p.error is None and b in p.cfg.stage_indices]
+        scored = {}  # at the first stage every prompt's live tokens are the prefix tokens
         for p in staged:
             try:
-                _prune(p, b, grid_h, grid_w, prefix.weights.projections)
+                _prune(p, b, grid_h, grid_w, prefix.weights.projections, scored if b == first else {})
             except Exception as exc:
                 p.error = exc
         changed = bool(staged)

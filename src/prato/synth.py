@@ -67,7 +67,7 @@ def tight_box(truth) -> BoxPrompt:
 
 
 def _ellipse_mask(h, w, cy, cx, ry, rx) -> np.ndarray:
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
 
 
@@ -85,7 +85,7 @@ def _target_mask(kind: str, h: int, w: int, rng: np.random.Generator) -> np.ndar
         bh = bw / aspect
         x0 = rng.uniform(1, w - bw - 1)
         y0 = rng.uniform(1, h - bh - 1)
-        yy, xx = np.mgrid[0:h, 0:w]
+        yy, xx = np.ogrid[0:h, 0:w]
         return (xx >= x0) & (xx < x0 + bw) & (yy >= y0) & (yy < y0 + bh)
     if kind == "blob":
         rx = np.sqrt(0.6 * area * aspect / np.pi)
@@ -205,8 +205,8 @@ CSV_COLUMNS = [
 ]
 
 
-def _retention_densities(pruned, used_box: BoxPrompt, original_box: BoxPrompt):
-    """Fraction of tokens retained inside/outside the used box and inside the tight box."""
+def _retention_densities(pruned, used_box: BoxPrompt, original: np.ndarray):
+    """Fraction of tokens retained inside/outside the used box and inside ``original``'s tokens."""
     gh, gw = pruned.grid_h, pruned.grid_w
     retained = np.zeros(gh * gw, dtype=bool)
     flat = pruned.retained_coords[:, 0] * gw + pruned.retained_coords[:, 1]
@@ -216,14 +216,13 @@ def _retention_densities(pruned, used_box: BoxPrompt, original_box: BoxPrompt):
         return float(retained[tokens].mean()) if tokens.any() else 0.0
 
     used = token_in_box_mask(gh, gw, map_box_to_grid(used_box, gh, gw))
-    return (density(used), density(~used),
-            density(token_in_box_mask(gh, gw, map_box_to_grid(original_box, gh, gw))))
+    return density(used), density(~used), density(original)
 
 
-SWEEP_CELLS = 8  # cells per run_pipeline call: stacks of up to 8 sets, 8 cells in memory at once
+SWEEP_CELLS = 16  # cells per run_pipeline call and in memory at once: 2 policies of 8 regions
 
 
-def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int) -> dict:
+def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int, tight: np.ndarray) -> dict:
     """A cell's CSV row from its (tokens, bundles, report), or the exception it raised."""
     policy, k, pert = cell
     row = dict.fromkeys(CSV_COLUMNS, "")
@@ -233,7 +232,7 @@ def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int) -> dict:
         if isinstance(result, Exception):
             raise result
         pruned, _, report = result
-        in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
+        in_d, out_d, orig_d = _retention_densities(pruned, box, tight)
         row.update({
             "Z": report.tokens_full,
             "retained_final": pruned.retained_count,
@@ -259,7 +258,8 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     ``error`` column and the sweep continues. Each scene seed's scene,
     weights and encoded prefix are computed once; its cells then run
     ``SWEEP_CELLS`` at a time as list-form :func:`run_pipeline` calls, which
-    run the cells with the same live token count through each block
+    score each (k, perturbation) region once for all of a call's policies
+    and run the cells with the same live token count through each block
     together. A prefix failure is recorded in every cell of that seed.
     Rows are written policy, then k, then perturbation, then seed.
     """
@@ -271,8 +271,10 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
         scene = generate_scene(spec.target_kind, spec.size, scene_seed)
         try:
             prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
+            grid = spec.size // spec.pipeline.patch_size  # a positive grid, as the prefix encoded
+            tight = token_in_box_mask(grid, grid, map_box_to_grid(scene.tight_box, grid, grid))
         except Exception as exc:  # recorded in every cell of this seed
-            prefix = exc
+            prefix, tight = exc, None
         boxes = [perturb_prompt(scene.tight_box, pert, make_rng(scene_seed ^ 0x5EED))
                  for _, _, pert in cells]
         results = {}  # cell index: the prefix error, or its config (or error), then its result
@@ -289,7 +291,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
                 results.update(zip(ok, run_pipeline(scene.image, [boxes[i] for i in ok],
                                                     [results[i] for i in ok], prefix=prefix)))
             for i in chunk:  # a row drops its cell's tokens and bundles
-                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed)
+                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed, tight)
     rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prato
 from prato import selfcheck
 from prato.cli import main
 from prato.synth import generate_scene, save_scene
@@ -302,3 +307,19 @@ class TestCheckCommand:
         assert main(["check"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "FAIL raises: RuntimeError: boom", "FAIL false", "ok   true"]
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("caller, want", [(None, "1"), ("3", "3")])
+    def test_import_pins_blas_unless_the_caller_set_it(self, caller, want):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if caller is not None:
+            env.update(OPENBLAS_NUM_THREADS=caller, OMP_NUM_THREADS=caller)
+        src = str(Path(prato.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        read = ("import os, prato, numpy; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", read], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == [want, want]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from prato import numerics, pipeline
 from prato.errors import (
     ConfigurationError,
+    DegeneratePromptError,
     EmptyRetentionError,
     PratoError,
     ShapeError,
@@ -36,10 +37,19 @@ from prato.pipeline import (
     token_in_box_mask,
 )
 from prato.prune import ThresholdPolicy, retention_target, scatter_tokens
-from prato.roi import BoxPrompt, GridBox
+from prato.roi import BoxPrompt, GridBox, map_box_to_grid
 from prato.synth import generate_scene
 from prato.encoder import encode_tokens
 from prato.tokens import TokenGrid, load_plane_csv, row_major_index_map, tokenize_image
+
+
+def _docstring_block_flops(n, c):
+    """One block's FLOPs over n tokens of width c, recounted from the pipeline docstring."""
+    qkv = 3 * (2 * n * c * c)
+    attn = 2 * (2 * n * n * c)
+    proj = 2 * n * c * c
+    ffn = 2 * (2 * n * c * 4 * c)
+    return qkv + attn + proj + ffn
 
 
 class TestFlopsModel:
@@ -60,17 +70,9 @@ class TestFlopsModel:
         # independent recount of the four term formulas, per block
         z, c, depth = 256, 64, 4
         counts = [256, 128, 128, 128]
-
-        def one_block(n):
-            qkv = 3 * (2 * n * c * c)
-            attn = 2 * (2 * n * n * c)
-            proj = 2 * n * c * c
-            ffn = 2 * (2 * n * c * 4 * c)
-            return qkv + attn + proj + ffn
-
         full, pruned = estimate_flops(z, c, depth, counts)
-        assert full == depth * one_block(z)
-        assert pruned == sum(one_block(n) for n in counts)
+        assert full == depth * _docstring_block_flops(z, c)
+        assert pruned == sum(_docstring_block_flops(n, c) for n in counts)
 
     def test_monotone_in_retained(self):
         prev = None
@@ -591,12 +593,14 @@ class TestRunProperties:
 
 
 def _plain_loop(img, box, cfg):
-    """A run written as one loop over the blocks, gathering the kept rows after each stage."""
+    """A run written as one loop over the blocks, gathering the kept rows after each stage;
+    also the live token count entering each block."""
     (c, h, w), p = img.shape, cfg.patch_size
     weights = build_pipeline_weights(cfg, c, h // p, w // p)
     tokens = tokenize_image(img, weights.embedder, p).tokens
-    coords, bundles = row_major_index_map(h // p, w // p), []
+    coords, bundles, live = row_major_index_map(h // p, w // p), [], []
     for b, block in enumerate(weights.blocks):
+        live.append(len(tokens))
         tokens = encode_tokens(tokens, block, residual=cfg.residual, ln_eps=cfg.ln_eps)
         if b in cfg.stage_indices:
             grid = np.zeros((h // p * (w // p), tokens.shape[1]))
@@ -606,7 +610,16 @@ def _plain_loop(img, box, cfg):
             keep = bundle.mask.astype(bool)
             tokens, coords = tokens[keep], coords[keep]
             bundles.append(bundle)
-    return tokens, coords, bundles
+    return tokens, coords, bundles, live
+
+
+def _recount_report(z, width, live, bundles, retained) -> dict:
+    """``CostReport.to_dict()`` recounted from the pipeline docstring's per-block formula."""
+    full = len(live) * _docstring_block_flops(z, width)
+    pruned = sum(_docstring_block_flops(n, width) for n in live)
+    return {"Z": z, "retained": [int(bundle.mask.sum()) for bundle in bundles],
+            "token_sparsity": 1.0 - retained / z, "flops_full": full, "flops_pruned": pruned,
+            "flops_reduction": 1.0 - pruned / full}
 
 
 class TestAgainstPlainLoop:
@@ -615,10 +628,11 @@ class TestAgainstPlainLoop:
     def test_run_equals_a_plain_loop_over_the_blocks(self, case):
         img, box, cfg = case
         try:
-            pruned, bundles, _ = run_pipeline(img, box, cfg)
+            pruned, bundles, report = run_pipeline(img, box, cfg)
         except PratoError:
             return  # the laws of failing runs are TestRunProperties'
-        tokens, coords, want = _plain_loop(img, box, cfg)
+        tokens, coords, want, live = _plain_loop(img, box, cfg)
+        assert report.to_dict() == _recount_report(live[0], cfg.embed_dim, live, want, len(coords))
         if cfg.mask_mode == "zero":
             tokens = scatter_tokens(replace(pruned, mode="compact", tokens=tokens))
         assert np.array_equal(pruned.tokens, tokens)
@@ -634,8 +648,9 @@ def _prompt_mixes(draw):
 
     Percentile values come mostly from a short list, so live counts often match and
     stack; 99 keeps one token, fixed 0.999999 keeps none, and a box 1e-12 wide is
-    degenerate. Width 52 leaves N mod 8 at 4, where OpenBLAS rounds products of short
-    and long row parts apart.
+    degenerate. Boxes come from a pool of 1-3 and k and the sampling ratio from short
+    lists, so regions repeat, in full or with another k or ratio. Width 52 leaves N mod 8
+    at 4, where OpenBLAS rounds products of short and long row parts apart.
     """
     depth, heads = draw(st.integers(2, 4)), draw(st.sampled_from([1, 2, 4]))
     first = draw(st.integers(0, depth - 1))
@@ -656,14 +671,18 @@ def _prompt_mixes(draw):
         st.builds(ThresholdPolicy, st.just("fixed"), st.floats(0.05, 0.95)),
     )
     edges = st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True).map(sorted)
-    boxes, cfgs = [], []
-    for _ in range(draw(st.integers(1, 6))):
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
         (x1, x2), (y1, y2) = draw(edges), draw(edges)
         width = 1e-12 if draw(st.integers(0, 9)) == 0 else (x2 - x1) / 16  # under 1e-9 tokens
-        boxes.append(BoxPrompt(x1 / 16, y1 / 16, x1 / 16 + width, y2 / 16))
+        pool.append(BoxPrompt(x1 / 16, y1 / 16, x1 / 16 + width, y2 / 16))
+    boxes, cfgs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        boxes.append(draw(st.sampled_from(pool)))
         later = draw(st.sets(st.integers(first + 1, depth - 1))) if first + 1 < depth else set()
         cfgs.append(replace(base, stage_indices={first, *later}, policy=draw(policies),
-                            roi_k=draw(st.integers(1, 4)), sampling_ratio=draw(st.integers(1, 2)),
+                            roi_k=draw(st.sampled_from([1, 3, 3, 4])),
+                            sampling_ratio=draw(st.sampled_from([2, 2, 1])),
                             mask_mode=draw(st.sampled_from(["compact", "zero"]))))
     return img, boxes, cfgs
 
@@ -673,6 +692,36 @@ def _run_alone(img, box, cfg):
         return run_pipeline(img, box, cfg)
     except Exception as exc:
         return exc
+
+
+def _scored_regions(img, boxes, cfgs) -> int:
+    """Distinct first-stage regions (box, roi_k, sampling_ratio) that do not degenerate."""
+    grid_h, grid_w = (n // cfgs[0].patch_size for n in img.shape[1:])
+    regions = set()
+    for box, cfg in zip(boxes, cfgs):
+        try:
+            map_box_to_grid(box, grid_h, grid_w)
+        except DegeneratePromptError:
+            continue
+        regions.add((box, cfg.roi_k, cfg.sampling_ratio))
+    return len(regions)
+
+
+class _CountRoiAlign:
+    """Counts ``roi_align`` calls made through ``prato.pipeline`` while it is entered."""
+
+    def __enter__(self):
+        self.calls, real = 0, pipeline.roi_align
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        self.real, pipeline.roi_align = real, counting
+        return self
+
+    def __exit__(self, *exc):
+        pipeline.roi_align = self.real
 
 
 def _assert_same_entry(got, want):
@@ -694,15 +743,22 @@ class TestManyPrompts:
             # at width 52 OpenBLAS rounds one- and two-core tail parts apart, so compare there
             # at one core count; elsewhere the lone runs also pin the core count
             numerics._CORES = cores if cfgs[0].embed_dim == 52 else 1
-            alone = [_run_alone(img, box, cfg) for box, cfg in zip(boxes, cfgs)]
+            with _CountRoiAlign() as lone:
+                alone = [_run_alone(img, box, cfg) for box, cfg in zip(boxes, cfgs)]
             numerics._CORES = cores
             prefix = encode_prefix(img, cfgs[-1]) if given_prefix else None
-            together = run_pipeline(img, boxes, cfgs, prefix=prefix)
+            with _CountRoiAlign() as shared:
+                together = run_pipeline(img, boxes, cfgs, prefix=prefix)
         finally:
             numerics._CORES = saved
         assert len(together) == len(alone)
         for got, want in zip(together, alone):
             _assert_same_entry(got, want)
+        # each lone run pools its first-stage region, if it does not degenerate; together,
+        # each distinct region is pooled once, and later stages pool as they do alone
+        degenerate = sum(isinstance(r, DegeneratePromptError) for r in alone)
+        assert shared.calls == lone.calls - (len(alone) - degenerate) \
+            + _scored_regions(img, boxes, cfgs)
 
     def test_prompts_with_equal_live_counts_share_each_block(self, monkeypatch):
         scene = generate_scene("ellipse", 128, seed=3)
@@ -723,6 +779,50 @@ class TestManyPrompts:
         monkeypatch.undo()
         for got, c in zip(results, cfgs):
             _assert_same_entry(got, _run_alone(scene.image, scene.tight_box, c))
+
+    def test_a_first_stage_region_is_scored_once_for_all_its_prompts(self):
+        scene = generate_scene("ellipse", 128, seed=3)
+        base = PipelineConfig(depth=4, stage_indices=(1,), seed=3)
+        tight = scene.tight_box
+        wide = perturb_prompt(tight, PromptPerturbation("oversized", 0.5), make_rng(0))
+        flat = BoxPrompt(0.2, 0.2, 0.2 + 1e-12, 0.6)
+        q = lambda v: ThresholdPolicy("percentile", v)
+        prompts = [  # (box, config changes); 4 regions pool, and 2 later stages pool once each
+            (tight, dict(policy=q(25.0))),
+            (tight, dict(policy=q(50.0), mask_mode="zero", stage_indices=(1, 2))),
+            (tight, dict(policy=ThresholdPolicy("fixed", 0.999999))),  # keeps nothing
+            (tight, dict(policy=q(25.0), roi_k=3)),
+            (tight, dict(policy=q(25.0), sampling_ratio=1)),
+            (wide, dict(policy=q(99.0), stage_indices=(1, 3))),
+            (wide, dict(policy=q(25.0), mask_mode="zero")),
+            (flat, dict(policy=q(25.0))),  # degenerate, twice
+            (flat, dict(policy=q(50.0))),
+        ]
+        boxes = [box for box, _ in prompts]
+        cfgs = [replace(base, **change) for _, change in prompts]
+        with _CountRoiAlign() as count:
+            together = run_pipeline(scene.image, boxes, cfgs)
+        assert count.calls == 4 + 2
+        alone = [_run_alone(scene.image, box, cfg) for box, cfg in zip(boxes, cfgs)]
+        assert [type(r).__name__ for r in alone] == ["tuple"] * 2 + ["EmptyRetentionError"] \
+            + ["tuple"] * 4 + ["DegeneratePromptError"] * 2
+        for got, want in zip(together, alone):
+            _assert_same_entry(got, want)
+        # entries of one region share its arrays read-only, so no entry can write another's
+        ran = [r for r in together if not isinstance(r, Exception)]
+        shared = 0
+        for name in ("similarity", "entropies", "weights", "relevance"):
+            arrays = [getattr(bundle, name) for _, bundles, _ in ran for bundle in bundles]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    if np.shares_memory(a, b):
+                        shared += 1
+                        assert not a.flags.writeable and not b.flags.writeable, name
+        assert shared == 4 * 2  # tight k=5 ratio 2 in entries 0 and 1, wide in 5 and 6
+        with pytest.raises(ValueError, match="read-only"):
+            together[0][1][0].relevance[:] = 0.0
+        _assert_same_entry(together[1], alone[1])
+        assert together[3][1][0].relevance.flags.writeable  # a region scored once stays writable
 
     def test_failed_stack_reruns_each_set_alone(self, monkeypatch):
         scene = generate_scene("blob", 128, seed=4)

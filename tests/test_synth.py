@@ -19,8 +19,10 @@ from prato.pipeline import (
     box_iou,
     perturb_prompt,
     run_pipeline,
+    token_in_box_mask,
 )
 from prato.prune import ThresholdPolicy
+from prato.roi import map_box_to_grid
 from prato.synth import (
     CSV_COLUMNS,
     SCENE_SIZE_MAX,
@@ -37,7 +39,59 @@ from prato.synth import (
 AREA_BOUNDS = (0.02, 0.4)  # target area fraction of any generated scene
 
 
+def _scene_oracle(kind, size, seed):
+    """(image, truth, tight box) of a scene, built on full (H, W) index grids."""
+    h = w = size
+    rng = make_rng(seed)
+    yy, xx = np.mgrid[0:h, 0:w]
+
+    def ellipse(cy, cx, ry, rx):
+        return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+
+    area = rng.uniform(0.05, 0.2) * h * w
+    aspect = rng.uniform(0.6, 1.6)
+    if kind == "ellipse":
+        rx = np.sqrt(area * aspect / np.pi)
+        ry = rx / aspect
+        cx, cy = rng.uniform(rx + 1, w - rx - 1), rng.uniform(ry + 1, h - ry - 1)
+        truth = ellipse(cy, cx, ry, rx)
+    elif kind == "rectangle":
+        bw = np.sqrt(area * aspect)
+        bh = bw / aspect
+        x0, y0 = rng.uniform(1, w - bw - 1), rng.uniform(1, h - bh - 1)
+        truth = (xx >= x0) & (xx < x0 + bw) & (yy >= y0) & (yy < y0 + bh)
+    else:
+        rx = np.sqrt(0.6 * area * aspect / np.pi)
+        ry = rx / aspect
+        margin = 1.7 * max(rx, ry) + 1
+        cx, cy = rng.uniform(margin, w - margin), rng.uniform(margin, h - margin)
+        truth = ellipse(cy, cx, ry, rx)
+        for _ in range(2):
+            angle = rng.uniform(0, 2 * np.pi)
+            sr = 0.5 * min(rx, ry)
+            truth = truth | ellipse(cy + 0.8 * ry * np.sin(angle), cx + 0.8 * rx * np.cos(angle),
+                                    sr, sr)
+    background = 0.05 + 0.3 * rng.random((1, h, w))
+    foreground = 0.75 + 0.2 * rng.random((1, h, w))
+    image = background.copy()
+    image[0][truth] = foreground[0][truth]
+    rows, cols = np.flatnonzero(truth.any(axis=1)), np.flatnonzero(truth.any(axis=0))
+    box = (cols[0] / w, rows[0] / h, (cols[-1] + 1) / w, (rows[-1] + 1) / h)
+    return image, truth.astype(np.int64), box
+
+
 class TestGenerateScene:
+    @pytest.mark.parametrize("kind", ["ellipse", "rectangle", "blob"])
+    @pytest.mark.parametrize("size", [16, 17, 24, 255, 256, 300, 512])
+    def test_equals_a_full_grid_construction(self, kind, size):
+        for seed in (0, 1, 7, 41):
+            scene = generate_scene(kind, size, seed)
+            image, truth, box = _scene_oracle(kind, size, seed)
+            assert np.array_equal(scene.image, image) and scene.image.dtype == image.dtype
+            assert np.array_equal(scene.truth, truth) and scene.truth.dtype == truth.dtype
+            b = scene.tight_box
+            assert (b.x1, b.y1, b.x2, b.y2) == box
+
     def test_determinism(self):
         a = generate_scene("ellipse", 64, seed=42)
         b = generate_scene("ellipse", 64, seed=42)
@@ -328,7 +382,9 @@ def _reference_sweep_csv(spec) -> bytes:
                         row["error"] = f"{type(exc).__name__}: {exc}"
                         writer.writerow(row)
                         continue
-                    in_d, out_d, orig_d = _retention_densities(pruned, box, scene.tight_box)
+                    gh, gw = pruned.grid_h, pruned.grid_w
+                    tight = token_in_box_mask(gh, gw, map_box_to_grid(scene.tight_box, gh, gw))
+                    in_d, out_d, orig_d = _retention_densities(pruned, box, tight)
                     row.update(
                         Z=report.tokens_full, retained_final=pruned.retained_count,
                         token_sparsity=repr(report.token_sparsity),
