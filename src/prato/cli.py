@@ -93,7 +93,7 @@ def _cmd_prune(args) -> int:
     else:
         image = load_image(args.image)
     box = load_box(args.box)
-    _, _, report = run_pipeline(image, box, cfg)
+    _, _, report = run_pipeline(image, box, cfg, stop_at_last_stage=True)  # prints no token
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

@@ -17,7 +17,8 @@ A run has two halves. The prefix validates the image, builds the
 weights (unless they are passed), tokenizes, and runs blocks
 ``0..stage_indices[0]``; none of that reads the prompt, the threshold
 policy or ``roi_k``. The continuation scores, masks and encodes the
-remaining blocks and builds the :class:`CostReport`. A caller may pass a
+remaining blocks and builds the :class:`CostReport`; a caller that reads no
+token values may end each prompt at its own last stage. A caller may pass a
 prefix it encoded earlier to run only the continuation, and may pass many
 prompts at once on one prefix: prompts with the same box, ``roi_k`` and
 ``sampling_ratio`` share the first stage's scoring (read-only) and differ
@@ -455,14 +456,16 @@ def _result(p: _Prompt, z: int, grid_h: int, grid_w: int):
                           grid_h, grid_w)
     if p.cfg.mask_mode == "zero":
         pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
-    flops_full, flops_pruned = estimate_flops(z, p.cfg.embed_dim, p.cfg.depth, p.tokens_per_block)
+    live = p.tokens_per_block + [len(p.coords)] * (p.cfg.depth - len(p.tokens_per_block))
+    flops_full, flops_pruned = estimate_flops(z, p.cfg.embed_dim, p.cfg.depth, live)
     return pruned, p.bundles, CostReport(
         tokens_full=z, tokens_retained=[int(bundle.mask.sum()) for bundle in p.bundles],
         token_sparsity=1.0 - pruned.retained_count / z, flops_full=flops_full,
         flops_pruned=flops_pruned, flops_reduction=1.0 - flops_pruned / flops_full)
 
 
-def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: EncodedPrefix = None):
+def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: EncodedPrefix = None,
+                 stop_at_last_stage: bool = False):
     """Run embed -> encode -> prune stages; returns (tokens, bundles, report).
 
     Deterministic for a fixed (image, box, config, seed). ``weights``
@@ -474,6 +477,11 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
     output is bit-identical to a fresh run. Equal-length lists of boxes and
     of configs with one prefix key return a list: each prompt's result or
     exception, bit-identical to a run of that prompt alone.
+
+    With ``stop_at_last_stage`` no block after a prompt's last stage runs: its tokens are those
+    that stage kept, and its bundles and report are the full run's, bit for bit. Only a later
+    block could fail, on non-finite tokens, which the sweep and the CLI (they read no token)
+    cannot meet: images lie in [0, 1] (``validate_image``) and their weights are small-std draws.
     """
     many = isinstance(box, list)
     if many != isinstance(cfg, list) or many and (len(box) != len(cfg) or not box):
@@ -495,7 +503,8 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
     prompts = [_Prompt(bx, c, row_major_index_map(grid_h, grid_w), [z] * (first + 1), prefix.tokens)
                for bx, c in zip(boxes, cfgs)]
     for b in range(first, common.depth):  # every prompt has a stage after block first
-        live = [p for p in prompts if p.error is None]
+        live = [p for p in prompts if p.error is None
+                and not (stop_at_last_stage and b > p.cfg.stage_indices[-1])]
         if b > first:  # a group's stack passes on unchanged unless a stage changed the groups
             todo, groups = _stack(live, common.embed_dim) if changed else groups, []
             for p in live:

@@ -181,12 +181,14 @@ def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
     configured value. percentile mode keeps the exact retention target
     count of highest-relevance tokens (ties broken toward the lower
     index) and reports the linearly interpolated percentile as the
-    effective threshold.
+    effective threshold. Non-finite relevance raises ValidationError.
     """
     r = np.asarray(relevance, dtype=np.float64).ravel()
     z = r.size
     if z == 0:
         raise ValidationError("empty relevance vector")
+    if not np.isfinite(r).all():
+        raise ValidationError("relevance contains non-finite entries")
     if policy.mode == "fixed":
         mask = (logistic(r) > policy.value).astype(np.uint8)
         return mask, float(policy.value)
@@ -194,8 +196,12 @@ def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
     order = np.argsort(-r, kind="stable")  # stable: ties keep lower index first
     mask = np.zeros(z, dtype=np.uint8)
     mask[order[:n_keep]] = 1
-    tau = float(np.percentile(r, policy.value))
-    return mask, tau
+    ascending = r[order[::-1]]  # tau: np.percentile's linear rule; the same bits unless +0 ties -0
+    v = (z - 1) * (policy.value / 100)
+    i = -1 if v >= z - 1 else math.floor(v)  # at or past the last index: the top value
+    lo, hi, t = ascending[i], ascending[i + 1 if i >= 0 else -1], v - i
+    tau = hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+    return mask, float(tau)
 
 
 def scatter_tokens(pruned: PrunedTokens) -> np.ndarray:

@@ -10,6 +10,7 @@ comes with a prompt whose quality is known by construction.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import os
@@ -205,8 +206,8 @@ CSV_COLUMNS = [
 ]
 
 
-def _retention_densities(pruned, used_box: BoxPrompt, original: np.ndarray):
-    """Fraction of tokens retained inside/outside the used box and inside ``original``'s tokens."""
+def _retention_densities(pruned, used: np.ndarray, original: np.ndarray):
+    """Fraction of tokens retained inside/outside the ``used`` tokens and inside ``original``."""
     gh, gw = pruned.grid_h, pruned.grid_w
     retained = np.zeros(gh * gw, dtype=bool)
     flat = pruned.retained_coords[:, 0] * gw + pruned.retained_coords[:, 1]
@@ -215,15 +216,14 @@ def _retention_densities(pruned, used_box: BoxPrompt, original: np.ndarray):
     def density(tokens):
         return float(retained[tokens].mean()) if tokens.any() else 0.0
 
-    used = token_in_box_mask(gh, gw, map_box_to_grid(used_box, gh, gw))
     return density(used), density(~used), density(original)
 
 
 SWEEP_CELLS = 16  # cells per run_pipeline call and in memory at once: 2 policies of 8 regions
 
 
-def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int, tight: np.ndarray) -> dict:
-    """A cell's CSV row from its (tokens, bundles, report), or the exception it raised."""
+def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int, in_box) -> dict:
+    """A cell's CSV row from its (tokens, bundles, report) or exception; ``in_box`` masks a box."""
     policy, k, pert = cell
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(policy_mode=policy.mode, policy_value=repr(policy.value), k=k,
@@ -232,7 +232,7 @@ def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int, tight: np.n
         if isinstance(result, Exception):
             raise result
         pruned, _, report = result
-        in_d, out_d, orig_d = _retention_densities(pruned, box, tight)
+        in_d, out_d, orig_d = _retention_densities(pruned, in_box(box), in_box(scene.tight_box))
         row.update({
             "Z": report.tokens_full,
             "retained_final": pruned.retained_count,
@@ -256,27 +256,31 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     Output is deterministic: rerunning the same spec reproduces the CSV
     byte for byte. Failures of individual cells are recorded in the
     ``error`` column and the sweep continues. Each scene seed's scene,
-    weights and encoded prefix are computed once; its cells then run
+    weights and encoded prefix are computed once, and so are each
+    perturbation's box and each box's in-box tokens; its cells then run
     ``SWEEP_CELLS`` at a time as list-form :func:`run_pipeline` calls, which
-    score each (k, perturbation) region once for all of a call's policies
-    and run the cells with the same live token count through each block
-    together. A prefix failure is recorded in every cell of that seed.
+    score each (k, perturbation) region once for all of a call's policies,
+    run the cells with the same live token count through each block
+    together, and run no block after the last stage, since a row reads
+    no token value. A prefix failure is recorded in every cell of that seed.
     Rows are written policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
     rows = [[None] * spec.seeds for _ in cells]
+    grid = spec.size // spec.pipeline.patch_size  # positive wherever a prefix encodes
     for s in range(spec.seeds):
         scene_seed = spec.base_seed ^ s
         scene = generate_scene(spec.target_kind, spec.size, scene_seed)
         try:
             prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
-            grid = spec.size // spec.pipeline.patch_size  # a positive grid, as the prefix encoded
-            tight = token_in_box_mask(grid, grid, map_box_to_grid(scene.tight_box, grid, grid))
         except Exception as exc:  # recorded in every cell of this seed
-            prefix, tight = exc, None
-        boxes = [perturb_prompt(scene.tight_box, pert, make_rng(scene_seed ^ 0x5EED))
-                 for _, _, pert in cells]
+            prefix = exc
+        # every cell reseeds the rng, so its box depends on its perturbation alone
+        perturbed = {pert: perturb_prompt(scene.tight_box, pert, make_rng(scene_seed ^ 0x5EED))
+                     for pert in spec.perturbations}
+        boxes = [perturbed[pert] for _, _, pert in cells]
+        in_box = functools.cache(lambda bx: token_in_box_mask(grid, grid, map_box_to_grid(bx, grid, grid)))
         results = {}  # cell index: the prefix error, or its config (or error), then its result
         for i, (policy, k, _) in enumerate(cells):
             try:  # a bad k fails here, in the cell's own config
@@ -289,9 +293,10 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
             ok = [i for i in chunk if isinstance(results[i], PipelineConfig)]
             if ok:
                 results.update(zip(ok, run_pipeline(scene.image, [boxes[i] for i in ok],
-                                                    [results[i] for i in ok], prefix=prefix)))
+                                                    [results[i] for i in ok], prefix=prefix,
+                                                    stop_at_last_stage=True)))
             for i in chunk:  # a row drops its cell's tokens and bundles
-                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed, tight)
+                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed, in_box)
     rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prato
-from prato import selfcheck
+from prato import pipeline, selfcheck
 from prato.cli import main
+from prato.roi import load_box
 from prato.synth import generate_scene, save_scene
+from prato.tokens import load_image
 
 
 @pytest.fixture()
@@ -84,6 +86,30 @@ class TestPruneCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["Z"] == 16
         assert report["flops_pruned"] <= report["flops_full"]
+
+    @pytest.mark.parametrize("config", [
+        {"depth": 4, "seed": 3},
+        {"depth": 4, "stage_indices": [0, 2], "tau_value": 50, "mask_mode": "zero", "seed": 3},
+    ])
+    def test_prints_the_report_of_a_full_run_and_stops_at_the_last_stage(
+            self, scene_files, tmp_path, capsys, monkeypatch, config):
+        image, box = scene_files
+        monkeypatch.delenv("PRATO_SEED", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        calls, real = [], pipeline.encode_tokens
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "encode_tokens", spy)
+        assert main(["prune", "--image", str(image), "--box", str(box), "--config", str(path)]) == 0
+        cfg = pipeline.config_from_dict(config)
+        assert len(calls) == cfg.stage_indices[-1] + 1  # no block after the last stage ran
+        monkeypatch.undo()
+        _, _, report = pipeline.run_pipeline(load_image(image), load_box(box), cfg)
+        assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
     def test_flags_override(self, scene_files, capsys):
         image, box = scene_files

@@ -594,7 +594,7 @@ class TestRunProperties:
 
 def _plain_loop(img, box, cfg):
     """A run written as one loop over the blocks, gathering the kept rows after each stage;
-    also the live token count entering each block."""
+    also the live token count entering each block, and the rows the last stage kept."""
     (c, h, w), p = img.shape, cfg.patch_size
     weights = build_pipeline_weights(cfg, c, h // p, w // p)
     tokens = tokenize_image(img, weights.embedder, p).tokens
@@ -610,7 +610,8 @@ def _plain_loop(img, box, cfg):
             keep = bundle.mask.astype(bool)
             tokens, coords = tokens[keep], coords[keep]
             bundles.append(bundle)
-    return tokens, coords, bundles, live
+            staged = tokens
+    return tokens, coords, bundles, live, staged
 
 
 def _recount_report(z, width, live, bundles, retained) -> dict:
@@ -631,7 +632,7 @@ class TestAgainstPlainLoop:
             pruned, bundles, report = run_pipeline(img, box, cfg)
         except PratoError:
             return  # the laws of failing runs are TestRunProperties'
-        tokens, coords, want, live = _plain_loop(img, box, cfg)
+        tokens, coords, want, live, staged = _plain_loop(img, box, cfg)
         assert report.to_dict() == _recount_report(live[0], cfg.embed_dim, live, want, len(coords))
         if cfg.mask_mode == "zero":
             tokens = scatter_tokens(replace(pruned, mode="compact", tokens=tokens))
@@ -640,6 +641,17 @@ class TestAgainstPlainLoop:
         for got, bundle in zip(bundles, want, strict=True):
             for f in fields(got):
                 assert np.array_equal(getattr(got, f.name), getattr(bundle, f.name)), f.name
+        # stopped at its last stage, the run holds the rows that stage kept, and the rest as is
+        stopped = run_pipeline(img, box, cfg, stop_at_last_stage=True)
+        _assert_same_run(stopped, (_in_mode(pruned, staged), bundles, report))
+        assert stopped[0].mode == cfg.mask_mode
+
+
+def _in_mode(pruned, compact_tokens):
+    """``pruned`` holding ``compact_tokens`` at its coordinates, in its own mask mode."""
+    if pruned.mode == "zero":
+        compact_tokens = scatter_tokens(replace(pruned, mode="compact", tokens=compact_tokens))
+    return replace(pruned, tokens=compact_tokens)
 
 
 @st.composite
@@ -687,9 +699,9 @@ def _prompt_mixes(draw):
     return img, boxes, cfgs
 
 
-def _run_alone(img, box, cfg):
+def _run_alone(img, box, cfg, **kwargs):
     try:
-        return run_pipeline(img, box, cfg)
+        return run_pipeline(img, box, cfg, **kwargs)
     except Exception as exc:
         return exc
 
@@ -731,6 +743,14 @@ def _assert_same_entry(got, want):
     else:
         _assert_same_run(got, want)
         assert got[0].mode == want[0].mode and got[2].to_dict() == want[2].to_dict()
+
+
+def _stopped_entry(img, box, cfg, full):
+    """A full run's entry as a run stopped at its last stage returns it: the tokens are the
+    rows that stage kept, in the entry's mask mode; an exception stays as it is."""
+    if isinstance(full, Exception):
+        return full
+    return (_in_mode(full[0], _plain_loop(img, box, cfg)[-1]), *full[1:])
 
 
 class TestManyPrompts:
@@ -823,6 +843,56 @@ class TestManyPrompts:
             together[0][1][0].relevance[:] = 0.0
         _assert_same_entry(together[1], alone[1])
         assert together[3][1][0].relevance.flags.writeable  # a region scored once stays writable
+
+    @settings(max_examples=60, deadline=None)
+    @given(_prompt_mixes(), st.booleans())
+    def test_stopping_at_the_last_stage_changes_only_the_tokens(self, case, given_prefix):
+        img, boxes, cfgs = case
+        full = run_pipeline(img, boxes, cfgs)
+        prefix = encode_prefix(img, cfgs[-1]) if given_prefix else None
+        stopped = run_pipeline(img, boxes, cfgs, prefix=prefix, stop_at_last_stage=True)
+        for box, cfg, got, want in zip(boxes, cfgs, stopped, full, strict=True):
+            want = _stopped_entry(img, box, cfg, want)
+            _assert_same_entry(got, want)
+            _assert_same_entry(_run_alone(img, box, cfg, stop_at_last_stage=True), want)
+
+    def test_no_block_after_a_prompts_last_stage_runs(self, monkeypatch):
+        scene = generate_scene("ellipse", 128, seed=3)
+        base = PipelineConfig(depth=4, stage_indices=(0,), seed=3)
+        q = lambda v: ThresholdPolicy("percentile", v)
+        prompts = [  # (box, config changes); Z = 64
+            (scene.tight_box, dict(policy=q(25.0))),  # 48 kept after block 0, its last stage
+            (scene.tight_box, dict(policy=q(50.0), stage_indices=(0, 2), mask_mode="zero")),
+            (scene.tight_box, dict(policy=q(25.0), stage_indices=(0, 1))),  # 48, then 36
+            (scene.tight_box, dict(policy=q(25.0), stage_indices=(0, 3))),
+            (scene.tight_box, dict(policy=ThresholdPolicy("fixed", 0.999999),
+                                   stage_indices=(0, 2))),  # keeps nothing
+            (BoxPrompt(0.2, 0.2, 0.2 + 1e-12, 0.6), dict(stage_indices=(0, 2))),  # degenerate
+        ]
+        boxes = [box for box, _ in prompts]
+        cfgs = [replace(base, **change) for _, change in prompts]
+        calls, real = [], pipeline.encode_tokens
+
+        def spy(x, w, residual="block", ln_eps=1e-6, sets=1):
+            calls.append((len(x), sets))
+            return real(x, w, residual, ln_eps, sets)
+
+        monkeypatch.setattr(pipeline, "encode_tokens", spy)
+        stopped = run_pipeline(scene.image, boxes, cfgs, stop_at_last_stage=True)
+        # prompt 0 stops after block 0, the prefix; block 1 stacks the two 48s; prompt 2 stops
+        # after block 1 and prompt 1 (16 left) after block 2, so block 3 runs prompt 3 alone
+        assert calls == [(64, 1), (32, 1), (96, 2), (32, 1), (48, 1), (48, 1)]
+        del calls[:]
+        single = run_pipeline(scene.image, boxes[1], cfgs[1], stop_at_last_stage=True)
+        assert calls == [(64, 1), (32, 1), (32, 1)]
+        monkeypatch.undo()
+        full = run_pipeline(scene.image, boxes, cfgs)
+        assert [type(r).__name__ for r in full] == ["tuple"] * 4 + ["EmptyRetentionError",
+                                                                    "DegeneratePromptError"]
+        assert full[1][2].tokens_retained == [32, 16]
+        for box, cfg, got, want in zip(boxes, cfgs, stopped, full):
+            _assert_same_entry(got, _stopped_entry(scene.image, box, cfg, want))
+        _assert_same_entry(single, _stopped_entry(scene.image, boxes[1], cfgs[1], full[1]))
 
     def test_failed_stack_reruns_each_set_alone(self, monkeypatch):
         scene = generate_scene("blob", 128, seed=4)

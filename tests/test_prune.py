@@ -186,6 +186,30 @@ class TestBuildMask:
         _, tau = build_mask(r, ThresholdPolicy("percentile", 75.0))
         assert tau == 6.25
 
+    def test_percentile_tau_has_the_bits_of_np_percentile(self):
+        # np.percentile's partition may order tied +0 and -0 either way, so where both signs
+        # occur only the value is compared; elsewhere the sign of a zero tau is compared too
+        rng = make_rng(13)
+        qs = (1e-9, 0.1, 1.0, 12.5, 25.0, 100 / 3, 37.123456789, 50.0, 60.0, 66.7, 75.0, 90.0,
+              99.0, 99.9, 100 - 1e-13, float(np.nextafter(100.0, 0.0)))
+        for z in [*range(1, 257), 511, 512, 1000, 1023, 1024]:
+            ints = rng.integers(-2, 3, size=z) * 1.0
+            for r, signed_zeros in ((rng.normal(size=z), False), (1e-300 * rng.normal(size=z), False),
+                                    (ints, False), (np.where(ints == 0, -0.0, ints), False),
+                                    (np.where(rng.random(z) < 0.5, 0.0, -0.0) * ints, True)):
+                for q in qs:
+                    _, tau = build_mask(r, ThresholdPolicy("percentile", q))
+                    want = float(np.percentile(r, q))
+                    assert tau == want, (z, q)
+                    assert signed_zeros or math.copysign(1, tau) == math.copysign(1, want), (z, q)
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy("fixed", 0.5),
+                                        ThresholdPolicy("percentile", 25.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_relevance_rejected(self, policy, bad):
+        with pytest.raises(ValidationError, match="relevance contains non-finite entries"):
+            build_mask(np.array([0.1, bad, 0.3]), policy)
+
     def test_invalid_policies(self):
         from prato.errors import ConfigurationError
 

@@ -383,8 +383,9 @@ def _reference_sweep_csv(spec) -> bytes:
                         writer.writerow(row)
                         continue
                     gh, gw = pruned.grid_h, pruned.grid_w
+                    used = token_in_box_mask(gh, gw, map_box_to_grid(box, gh, gw))
                     tight = token_in_box_mask(gh, gw, map_box_to_grid(scene.tight_box, gh, gw))
-                    in_d, out_d, orig_d = _retention_densities(pruned, box, tight)
+                    in_d, out_d, orig_d = _retention_densities(pruned, used, tight)
                     row.update(
                         Z=report.tokens_full, retained_final=pruned.retained_count,
                         token_sparsity=repr(report.token_sparsity),
@@ -398,7 +399,8 @@ def _reference_sweep_csv(spec) -> bytes:
     return out.getvalue().encode()
 
 
-# a cell that keeps no token fails after the prefix; patch size 24 fails the prefix itself
+# a cell that keeps no token fails after the prefix; patch size 24 fails the prefix itself;
+# stages 0 and 2 of 4 stack cells in block 1 and 2, between the stages, and none in block 3
 _FAILING_SPECS = {
     "cell": dict(policies=[ThresholdPolicy("percentile", 25.0), ThresholdPolicy("fixed", 0.999999)],
                  k_values=[3, 5], seeds=2, base_seed=5,
@@ -406,6 +408,12 @@ _FAILING_SPECS = {
                  pipeline=PipelineConfig(depth=3, stage_indices=(0, 1), seed=0)),
     "prefix": dict(k_values=[3, 5], seeds=2,
                    pipeline=PipelineConfig(depth=2, patch_size=24, seed=0)),
+    "stages": dict(policies=[ThresholdPolicy("percentile", 25.0), ThresholdPolicy("percentile", 50.0),
+                             ThresholdPolicy("fixed", 0.999999)],
+                   k_values=[3, 5], seeds=2, base_seed=9,
+                   perturbations=[PromptPerturbation("tight"), PromptPerturbation("oversized", 0.5),
+                                  PromptPerturbation("misleading")],
+                   pipeline=PipelineConfig(depth=4, stage_indices=(0, 2), seed=0)),
 }
 
 
@@ -477,9 +485,13 @@ class TestSweepPrefixReuse:
             # the prefix blocks run once per seed
             for b in range(first + 1):
                 assert block_rows[s, b] == [z]
-            # a later block runs each ok cell's live tokens once, one call per live count of
-            # each call's cells; the failing cells stop at the first stage
+            # a block up to the last stage runs each ok cell's live tokens once, one call per
+            # live count of each call's cells; the failing cells stop at the first stage, and
+            # no block after the last stage runs, since no row reads a token
             for b in range(first + 1, cfg.depth):
+                if b > cfg.stage_indices[-1]:
+                    assert (s, b) not in block_rows
+                    continue
                 last = max(i for i, stage in enumerate(cfg.stage_indices) if stage < b)
                 live = [[report.tokens_retained[last] for _, _, report in out] for out in per_seed]
                 assert sum(block_rows[s, b]) == sum(map(sum, live))
