@@ -16,18 +16,12 @@ row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 
-``sets=S`` stacks S token sets of n rows. LN1 runs once over all S*n rows, each head
-projects and attends one set at a time, and the row-wise tail (``wo``, LN2, FFN,
-residual) runs each set in the row parts a block over that set alone uses. So every
-matmul keeps its lone-block shape and a stacked set's rows equal that block at any
-width (past 100^3 multiply-adds OpenBLAS 0.3.31 switches to a kernel that rounds
-differently when N mod 8 is 1 to 4), and tail memory is one part's, whatever S is.
-A block over more than ``POOL_ABOVE`` (96) rows, where two cores measured faster than
+A block over n > ``POOL_ABOVE`` (96) tokens, where two cores measured faster than
 one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
 G = ``group_count(heads)``, each group reusing one (min(n, 256), n) score buffer
-that the caller allocates; then the tail runs S*P parts, P = ``group_count(n // 2)``
-(1 for n <= 96), part i of set s on rows s*n + n*i//P up to s*n + n*(i+1)//P.
-A split set's part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
+that the caller allocates; then the row-wise tail (``wo``, LN2, FFN, residual) runs
+in P = ``group_count(n // 2)`` near-equal parts, part i on rows n*i//P up to n*(i+1)//P.
+A part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
 bits differ from gemm's, and OpenBLAS 0.3.31 gemm (as measured at widths 48 and 64)
 gives a block of two or more rows the bits of the whole product, so output is the
 same for all G, P.
@@ -125,23 +119,20 @@ def _scores(q: np.ndarray, kt: np.ndarray, out=None) -> np.ndarray:
     return s
 
 
-def _attention(x: np.ndarray, w: BlockWeights, sets: int = 1) -> np.ndarray:
-    rows, width = x.shape
-    n = rows // sets
+def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
+    n, width = x.shape
     d_h = width // w.heads
-    out = np.empty((rows, width))
+    out = np.empty((n, width))
     # one buffer per fan_out group, allocated here: buffers made on pool threads cost peak RSS
     bufs = [np.empty((min(n, QUERY_BLOCK), n))
-            for _ in range(numerics.group_count(w.heads) if rows > POOL_ABOVE else 1)]
+            for _ in range(numerics.group_count(w.heads) if n > POOL_ABOVE else 1)]
 
     def head(h):
-        for s in range(0, rows, n or 1):  # set s attends to its own rows only
-            xs = x[s:s + n]
-            q, kt, v = xs @ w.wq[h], (xs @ w.wk[h]).T, xs @ w.wv[h]
-            for r in range(0, n, QUERY_BLOCK):
-                m = min(QUERY_BLOCK, n - r)
-                sc = _scores(q[r:r + m], kt, out=bufs[h % len(bufs)][:m])
-                out[s + r:s + r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc) @ v
+        q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
+        for r in range(0, n, QUERY_BLOCK):
+            m = min(QUERY_BLOCK, n - r)
+            sc = _scores(q[r:r + m], kt, out=bufs[h % len(bufs)][:m])
+            out[r:r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc) @ v
 
     if len(bufs) > 1:
         fan_out(head, w.heads)
@@ -156,35 +147,25 @@ def encode_tokens(
     w: BlockWeights,
     residual: str = "block",
     ln_eps: float = 1e-6,
-    sets: int = 1,
 ) -> np.ndarray:
-    """Run one encoder block over ``sets`` equal token sets stacked in a (sets*n, width) matrix;
-    each set's rows come out bit-equal to a block over that set alone."""
+    """Run one encoder block over a raw (n, width) token matrix."""
     x = as_matrix(x, "tokens")
     if x.shape[1] != w.width:
         raise ShapeError(f"token width {x.shape[1]} does not match block width {w.width}")
     if residual not in ("block", "sublayer"):
         raise ShapeError(f"unknown residual mode {residual!r}")
-    rows = len(x)
-    if sets < 1 or rows % sets:
-        raise ShapeError(f"{rows} rows do not stack {sets} equal sets")
-    n = rows // sets
-    out = _attention(layer_norm(x, ln_eps), w, sets)  # each part overwrites its own rows
-    per = numerics.group_count(n // 2) if n > POOL_ABOVE else 1  # a lone set's tail parts
+    n = len(x)
+    out = _attention(layer_norm(x, ln_eps), w)  # each part overwrites its own rows
+    parts = numerics.group_count(n // 2) if n > POOL_ABOVE else 1
 
-    def tail(i):  # wo, LN2, FFN and residual of part i % per of set i // per
-        s, j = divmod(i, per)
-        part = slice(s * n + n * j // per, s * n + n * (j + 1) // per)
-        a = out[part] @ w.wo
-        r = x[part] if residual == "block" else x[part] + a  # what the FFN output is added to
+    def tail(i):  # wo, LN2, FFN and residual of rows n*i//parts up to n*(i+1)//parts
+        rows = slice(n * i // parts, n * (i + 1) // parts)
+        a = out[rows] @ w.wo
+        r = x[rows] if residual == "block" else x[rows] + a  # what the FFN output is added to
         h = layer_norm(a if residual == "block" else r, ln_eps)
-        np.add(gelu(h @ w.ffn_in) @ w.ffn_out, r, out=out[part])
+        np.add(gelu(h @ w.ffn_in) @ w.ffn_out, r, out=out[rows])
 
-    if rows > POOL_ABOVE:
-        fan_out(tail, sets * per)
-    else:
-        for i in range(sets):  # per is 1
-            tail(i)
+    fan_out(tail, parts)
     return out
 
 

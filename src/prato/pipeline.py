@@ -22,8 +22,8 @@ token values may end each prompt at its own last stage. A caller may pass a
 prefix it encoded earlier to run only the continuation, and may pass many
 prompts at once on one prefix: prompts with the same box, ``roi_k`` and
 ``sampling_ratio`` share the first stage's scoring (read-only) and differ
-only in the mask their policy cuts, and prompts with the same live token
-count run through each later block together.
+only in the mask their policy cuts; each prompt runs through the later
+blocks on its own live tokens.
 Reuse goes by key, never by shape: weights carry their
 :func:`weights_key` (seed, depth, patch size, embed width, heads, d_v,
 positional mode, projection tying, and the image's channels, height and
@@ -411,22 +411,6 @@ class _Prompt:
     error: Exception = None
 
 
-def _stack(prompts, width: int) -> list:
-    """(stack, members) per live count, member j on stack rows j*n up to (j+1)*n, filled
-    straight from its kept rows."""
-    by_count = {}
-    for p in prompts:
-        by_count.setdefault(len(p.coords), []).append(p)
-    groups = []
-    for n, members in by_count.items():
-        stack = np.empty((len(members) * n, width))
-        for p, rows in zip(members, np.split(stack, len(members))):
-            np.compress(np.ones(n, bool) if p.keep is None else p.keep, p.tokens, 0, out=rows)
-            p.tokens, p.keep = rows, None
-        groups.append((stack, members))
-    return groups
-
-
 def _prune(p: _Prompt, b: int, grid_h: int, grid_w: int, proj: Projections, scored: dict) -> None:
     """Score a prompt's live tokens after block ``b``, and keep the mask of those it keeps; a
     region (box, roi_k, sampling_ratio) in ``scored`` was scored on the same tokens: reuse it."""
@@ -505,24 +489,16 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
     for b in range(first, common.depth):  # every prompt has a stage after block first
         live = [p for p in prompts if p.error is None
                 and not (stop_at_last_stage and b > p.cfg.stage_indices[-1])]
-        if b > first:  # a group's stack passes on unchanged unless a stage changed the groups
-            todo, groups = _stack(live, common.embed_dim) if changed else groups, []
+        if b > first:  # the prefix ran block first
             for p in live:
                 p.tokens_per_block.append(len(p.coords))
-            while todo:  # each input stack is freed once its block has run
-                stack, members = todo.pop(0)
                 try:
-                    stack = encode_tokens(stack, prefix.weights.blocks[b], sets=len(members),
-                                          residual=common.residual, ln_eps=common.ln_eps)
-                except Exception as exc:  # a failed stack reruns one set at a time
-                    if len(members) > 1:
-                        todo[:0] = [(p.tokens, [p]) for p in members]
-                    else:
-                        members[0].error = exc
-                    continue
-                for p, rows in zip(members, np.split(stack, len(members))):
-                    p.tokens = rows
-                groups.append((stack, members))
+                    p.tokens = encode_tokens(p.tokens if p.keep is None else p.tokens[p.keep],
+                                             prefix.weights.blocks[b], residual=common.residual,
+                                             ln_eps=common.ln_eps)
+                except Exception as exc:
+                    p.error = exc
+                p.keep = None
         staged = [p for p in live if p.error is None and b in p.cfg.stage_indices]
         scored = {}  # at the first stage every prompt's live tokens are the prefix tokens
         for p in staged:
@@ -530,7 +506,6 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
                 _prune(p, b, grid_h, grid_w, prefix.weights.projections, scored if b == first else {})
             except Exception as exc:
                 p.error = exc
-        changed = bool(staged)
     results = [_result(p, z, grid_h, grid_w) for p in prompts]
     if not many and isinstance(results[0], Exception):
         raise results[0]

@@ -259,10 +259,9 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     weights and encoded prefix are computed once, and so are each
     perturbation's box and each box's in-box tokens; its cells then run
     ``SWEEP_CELLS`` at a time as list-form :func:`run_pipeline` calls, which
-    score each (k, perturbation) region once for all of a call's policies,
-    run the cells with the same live token count through each block
-    together, and run no block after the last stage, since a row reads
-    no token value. A prefix failure is recorded in every cell of that seed.
+    score each (k, perturbation) region once for all of a call's policies
+    and run no block after the last stage, since a row reads no token
+    value. A prefix failure is recorded in every cell of that seed.
     Rows are written policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)

@@ -78,11 +78,11 @@ def row_major_index_map(grid_h: int, grid_w: int) -> np.ndarray:
 
 def validate_image(img) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3:
-        raise ShapeError(f"image must be (C, H, W), got shape {img.shape}")
+    if img.ndim != 3 or not img.size:
+        raise ShapeError(f"image must be (C, H, W) and no size 0, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise ValidationError("image contains non-finite values")
-    if img.size and (img.min() < 0.0 or img.max() > 1.0):
+    if img.min() < 0.0 or img.max() > 1.0:
         raise ValidationError("image values must lie in [0, 1]")
     return img
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from prato import pipeline, selfcheck
 from prato.cli import main
 from prato.roi import load_box
 from prato.synth import generate_scene, save_scene
-from prato.tokens import load_image
+from prato.tokens import IMAGE_MAGIC, load_image
 
 
 @pytest.fixture()
@@ -220,14 +221,22 @@ class TestErrors:
         (["sweep"], {"policies": [{"mode": "percentile", "value": True}]}),
         (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": math.inf}]}),
         (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": "0.5"}]}),
+        (["prune", "--image"], (0, 16, 16)),
+        (["prune", "--image"], (1, 0, 16)),
+        (["prune", "--image"], (1, 16, 0)),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
             "spec-unknown-key", "spec-policy-without-mode", "box-list", "box-text-coordinate",
             "box-null-coordinate", "box-bool-coordinates", "box-numeric-text-coordinate",
             "config-bool-ln-eps", "config-text-ln-eps", "config-infinite-ln-eps",
             "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
-            "spec-infinite-magnitude", "spec-text-magnitude"])
+            "spec-infinite-magnitude", "spec-text-magnitude", "image-0x16x16", "image-1x0x16",
+            "image-1x16x0"])
     def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
-        if argv[0] == "prune":  # spec is the box record, or with --config the config
+        if argv[1:] == ["--image"]:  # spec is the shape an image file declares, with no values
+            image = tmp_path / "empty.prti"
+            image.write_bytes(IMAGE_MAGIC + struct.pack("<III", *spec))
+            argv = ["prune", "--image", str(image), "--box", str(scene_files[1])]
+        elif argv[0] == "prune":  # spec is the box record, or with --config the config
             path = tmp_path / "record.json"
             path.write_text(json.dumps(spec))
             image, box = scene_files

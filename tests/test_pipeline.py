@@ -38,6 +38,7 @@ from prato.pipeline import (
 )
 from prato.prune import ThresholdPolicy, retention_target, scatter_tokens
 from prato.roi import BoxPrompt, GridBox, map_box_to_grid
+from prato.selfcheck import attention_oracle, entropy_oracle, roi_oracle
 from prato.synth import generate_scene
 from prato.encoder import encode_tokens
 from prato.tokens import TokenGrid, load_plane_csv, row_major_index_map, tokenize_image
@@ -173,6 +174,16 @@ class TestRunPipeline:
         img = np.zeros((1, 60, 64))
         with pytest.raises(ConfigurationError):
             run_pipeline(img, _mid_box(), PipelineConfig())
+
+    @pytest.mark.parametrize("shape", [(0, 16, 16), (1, 0, 16), (1, 16, 0)])
+    def test_image_with_a_zero_size_rejected(self, shape):
+        img, cfg = np.zeros(shape), PipelineConfig(depth=2)
+        with pytest.raises(ShapeError, match="no size 0"):
+            encode_prefix(img, cfg)
+        with pytest.raises(ShapeError, match="no size 0"):
+            run_pipeline(img, _mid_box(), cfg)
+        with pytest.raises(ShapeError, match="no size 0"):
+            run_pipeline(img, [_mid_box()] * 2, [cfg] * 2)
 
     def test_cost_report_json_fields(self):
         scene = generate_scene("ellipse", 64, seed=7)
@@ -623,6 +634,56 @@ def _recount_report(z, width, live, bundles, retained) -> dict:
             "flops_reduction": 1.0 - pruned / full}
 
 
+# oracle loops sum in other orders than the library: compare within this share of the largest
+# magnitude compared, or of 1 if that is smaller
+_ORACLE_TOL = 1e-9
+
+
+def _near(got, want) -> bool:
+    return np.abs(got - want).max() <= _ORACLE_TOL * max(1.0, np.abs(want).max())
+
+
+def _oracle_block(x, w, cfg):
+    """One encoder block from ``attention_oracle`` and an explicit LN, GELU FFN and residual."""
+    ln = lambda m: (m - m.mean(axis=1, keepdims=True)) / np.sqrt(m.var(axis=1, keepdims=True)
+                                                                  + cfg.ln_eps)
+    gelu = lambda m: 0.5 * m * (1 + np.vectorize(math.erf)(m / math.sqrt(2)))
+    ffn = lambda h: gelu(ln(h) @ w.ffn_in) @ w.ffn_out
+    a = attention_oracle(ln(x), w) @ w.wo
+    return ffn(a) + x if cfg.residual == "block" else ffn(x + a) + x + a
+
+
+def _oracle_scores(tokens, coords, box, cfg, proj, grid_h, grid_w):
+    """(similarity, entropies, relevance) of the live tokens from ``roi_oracle`` over the
+    zero-filled grid, ``entropy_oracle`` and entropy ranks by an explicit stable sort."""
+    fmap = np.zeros((grid_h, grid_w, tokens.shape[1]))
+    fmap[coords[:, 0], coords[:, 1]] = tokens
+    gbox = (box.x1 * grid_w, box.y1 * grid_h, box.x2 * grid_w, box.y2 * grid_h)
+    region = roi_oracle(fmap, gbox, cfg.roi_k, cfg.sampling_ratio)
+    sim = (region @ proj.f1) @ (tokens @ proj.f2).T / math.sqrt(proj.d_v)
+    e = np.exp(sim - sim.max(axis=1, keepdims=True))
+    entropies = np.array([entropy_oracle(row / row.sum()) for row in e])
+    m = len(entropies)
+    weights = np.ones(m)
+    for rank, i in enumerate(sorted(range(m), key=lambda i: (entropies[i], i))):
+        weights[i] = (m - 1 - rank) / (m - 1) if m > 1 else 1.0
+    return sim, entropies, (weights[:, None] * sim).mean(axis=0)
+
+
+def _oracle_mask(relevance, policy):
+    """The keep mask by the logistic test or an explicit stable sort, and whether a token lies
+    within the tolerance of the cut, where rounding may decide it."""
+    if policy.mode == "fixed":
+        p = 1 / (1 + np.exp(-relevance))
+        return p > policy.value, bool(np.any(np.abs(p - policy.value) <= _ORACLE_TOL))
+    z, n = len(relevance), retention_target(len(relevance), policy.value)
+    order = sorted(range(z), key=lambda i: (-relevance[i], i))
+    mask = np.zeros(z, bool)
+    mask[order[:n]] = True
+    gap = relevance[order[n - 1]] - relevance[order[n]] if n < z else np.inf
+    return mask, bool(gap <= _ORACLE_TOL * max(1.0, np.abs(relevance).max()))
+
+
 class TestAgainstPlainLoop:
     @settings(max_examples=60, deadline=None)
     @given(_small_runs())
@@ -646,6 +707,33 @@ class TestAgainstPlainLoop:
         _assert_same_run(stopped, (_in_mode(pruned, staged), bundles, report))
         assert stopped[0].mode == cfg.mask_mode
 
+    @settings(max_examples=40, deadline=None)
+    @given(_small_runs())
+    def test_run_is_near_a_loop_of_the_selfcheck_oracles(self, case):
+        img, box, cfg = case
+        try:
+            pruned, bundles, _ = run_pipeline(img, box, cfg)
+        except PratoError:
+            return
+        (c, h, w), p = img.shape, cfg.patch_size
+        weights = build_pipeline_weights(cfg, c, h // p, w // p)
+        tokens = tokenize_image(img, weights.embedder, p).tokens
+        coords, stages = row_major_index_map(h // p, w // p), iter(bundles)
+        for b, block in enumerate(weights.blocks):
+            tokens = _oracle_block(tokens, block, cfg)
+            if b in cfg.stage_indices:
+                bundle = next(stages)
+                sim, entropies, relevance = _oracle_scores(tokens, coords, box, cfg,
+                                                           weights.projections, h // p, w // p)
+                assert _near(bundle.similarity, sim) and _near(bundle.entropies, entropies)
+                assert _near(bundle.relevance, relevance)
+                mask, near_cut = _oracle_mask(relevance, cfg.policy)
+                keep = bundle.mask.astype(bool)
+                assert near_cut or np.array_equal(keep, mask)
+                tokens, coords = tokens[keep], coords[keep]  # the run's cut, if rounding decides
+        assert next(stages, None) is None
+        assert np.array_equal(pruned.retained_coords, coords) and _near(pruned.tokens, tokens)
+
 
 def _in_mode(pruned, compact_tokens):
     """``pruned`` holding ``compact_tokens`` at its coordinates, in its own mask mode."""
@@ -658,8 +746,8 @@ def _in_mode(pruned, compact_tokens):
 def _prompt_mixes(draw):
     """One image and 1-6 prompts whose configs share a prefix key and differ after it.
 
-    Percentile values come mostly from a short list, so live counts often match and
-    stack; 99 keeps one token, fixed 0.999999 keeps none, and a box 1e-12 wide is
+    Percentile values come mostly from a short list, so policies often repeat; 99
+    keeps one token, fixed 0.999999 keeps none, and a box 1e-12 wide is
     degenerate. Boxes come from a pool of 1-3 and k and the sampling ratio from short
     lists, so regions repeat, in full or with another k or ratio. Width 52 leaves N mod 8
     at 4, where OpenBLAS rounds products of short and long row parts apart.
@@ -780,22 +868,22 @@ class TestManyPrompts:
         assert shared.calls == lone.calls - (len(alone) - degenerate) \
             + _scored_regions(img, boxes, cfgs)
 
-    def test_prompts_with_equal_live_counts_share_each_block(self, monkeypatch):
+    def test_each_live_prompt_runs_each_later_block_on_its_own_tokens(self, monkeypatch):
         scene = generate_scene("ellipse", 128, seed=3)
         cfg = PipelineConfig(depth=4, seed=3)
         policies = [ThresholdPolicy("percentile", q) for q in (25.0, 50.0, 25.0, 99.0, 99.0)]
         cfgs = [replace(cfg, policy=p) for p in policies]
         calls, real = [], pipeline.encode_tokens
 
-        def spy(x, w, residual="block", ln_eps=1e-6, sets=1):
-            calls.append((len(x), sets))
-            return real(x, w, residual, ln_eps, sets)
+        def spy(x, w, residual="block", ln_eps=1e-6):
+            calls.append(len(x))
+            return real(x, w, residual, ln_eps)
 
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
         prefix = encode_prefix(scene.image, cfg)
         results = run_pipeline(scene.image, [scene.tight_box] * 5, cfgs, prefix=prefix)
-        # Z = 64: 48 kept at q25 and 1 at q99 (two prompts, one stack each), 32 at q50
-        assert calls == [(64, 1)] * 2 + [(96, 2), (32, 1), (2, 2)] * 2
+        # Z = 64: 48 kept at q25, 32 at q50 and 1 at q99, one call per prompt and block
+        assert calls == [64] * 2 + [48, 32, 48, 1, 1] * 2
         monkeypatch.undo()
         for got, c in zip(results, cfgs):
             _assert_same_entry(got, _run_alone(scene.image, scene.tight_box, c))
@@ -873,18 +961,18 @@ class TestManyPrompts:
         cfgs = [replace(base, **change) for _, change in prompts]
         calls, real = [], pipeline.encode_tokens
 
-        def spy(x, w, residual="block", ln_eps=1e-6, sets=1):
-            calls.append((len(x), sets))
-            return real(x, w, residual, ln_eps, sets)
+        def spy(x, w, residual="block", ln_eps=1e-6):
+            calls.append(len(x))
+            return real(x, w, residual, ln_eps)
 
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
         stopped = run_pipeline(scene.image, boxes, cfgs, stop_at_last_stage=True)
-        # prompt 0 stops after block 0, the prefix; block 1 stacks the two 48s; prompt 2 stops
+        # prompt 0 stops after block 0, the prefix; block 1 runs prompts 1-3; prompt 2 stops
         # after block 1 and prompt 1 (16 left) after block 2, so block 3 runs prompt 3 alone
-        assert calls == [(64, 1), (32, 1), (96, 2), (32, 1), (48, 1), (48, 1)]
+        assert calls == [64, 32, 48, 48, 32, 48, 48]
         del calls[:]
         single = run_pipeline(scene.image, boxes[1], cfgs[1], stop_at_last_stage=True)
-        assert calls == [(64, 1), (32, 1), (32, 1)]
+        assert calls == [64, 32, 32]
         monkeypatch.undo()
         full = run_pipeline(scene.image, boxes, cfgs)
         assert [type(r).__name__ for r in full] == ["tuple"] * 4 + ["EmptyRetentionError",
@@ -894,16 +982,16 @@ class TestManyPrompts:
             _assert_same_entry(got, _stopped_entry(scene.image, box, cfg, want))
         _assert_same_entry(single, _stopped_entry(scene.image, boxes[1], cfgs[1], full[1]))
 
-    def test_failed_stack_reruns_each_set_alone(self, monkeypatch):
+    def test_a_later_block_that_raises_fails_only_its_prompt(self, monkeypatch):
         scene = generate_scene("blob", 128, seed=4)
         cfg = PipelineConfig(depth=4, seed=4)
         cfgs = [replace(cfg, policy=ThresholdPolicy("percentile", q)) for q in (25.0, 50.0, 25.0)]
         real = pipeline.encode_tokens
 
-        def flaky(x, w, residual="block", ln_eps=1e-6, sets=1):
-            if sets > 1 or len(x) == 32:  # every stack fails, and the q50 prompt fails alone
+        def flaky(x, w, residual="block", ln_eps=1e-6):
+            if len(x) == 32:  # the q50 prompt's 32 live tokens fail; the q25 prompts keep 48
                 raise ValidationError("tokens contains non-finite entries")
-            return real(x, w, residual, ln_eps, sets)
+            return real(x, w, residual, ln_eps)
 
         monkeypatch.setattr(pipeline, "encode_tokens", flaky)
         results = run_pipeline(scene.image, [scene.tight_box] * 3, cfgs)

@@ -400,7 +400,7 @@ def _reference_sweep_csv(spec) -> bytes:
 
 
 # a cell that keeps no token fails after the prefix; patch size 24 fails the prefix itself;
-# stages 0 and 2 of 4 stack cells in block 1 and 2, between the stages, and none in block 3
+# stages 0 and 2 of 4 run each cell through blocks 1 and 2, between the stages, and not block 3
 _FAILING_SPECS = {
     "cell": dict(policies=[ThresholdPolicy("percentile", 25.0), ThresholdPolicy("fixed", 0.999999)],
                  k_values=[3, 5], seeds=2, base_seed=5,
@@ -485,15 +485,14 @@ class TestSweepPrefixReuse:
             # the prefix blocks run once per seed
             for b in range(first + 1):
                 assert block_rows[s, b] == [z]
-            # a block up to the last stage runs each ok cell's live tokens once, one call per
-            # live count of each call's cells; the failing cells stop at the first stage, and
-            # no block after the last stage runs, since no row reads a token
+            # a block up to the last stage runs once per ok cell, in cell order, on that cell's
+            # live tokens; the failing cells stop at the first stage, and no block after the
+            # last stage runs, since no row reads a token
             for b in range(first + 1, cfg.depth):
                 if b > cfg.stage_indices[-1]:
                     assert (s, b) not in block_rows
                     continue
                 last = max(i for i, stage in enumerate(cfg.stage_indices) if stage < b)
                 live = [[report.tokens_retained[last] for _, _, report in out] for out in per_seed]
-                assert sum(block_rows[s, b]) == sum(map(sum, live))
-                assert len(block_rows[s, b]) == sum(len(set(counts)) for counts in live)
+                assert block_rows[s, b] == [n for counts in live for n in counts]
         assert calls["encode_tokens"] == sum(map(len, block_rows.values()))

@@ -1,5 +1,6 @@
 """Tokenizer tests: patch partitioning, embedding, grid bookkeeping, image IO."""
 
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from prato.errors import ConfigurationError, ShapeError, ValidationError
 from prato.numerics import make_rng
 from prato.tokens import (
+    IMAGE_MAGIC,
     EmbedderWeights,
     embed_tokens,
     load_image,
@@ -153,6 +155,16 @@ class TestImageIO:
         blob[-8:] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError):
+            load_image(path)
+
+    @pytest.mark.parametrize("shape", [(0, 16, 16), (1, 0, 16), (1, 16, 0)])
+    def test_image_with_a_zero_size_rejected(self, tmp_path, shape):
+        path = tmp_path / "img.prti"
+        with pytest.raises(ShapeError, match="no size 0"):
+            save_image(path, np.zeros(shape))
+        assert not path.exists()
+        path.write_bytes(IMAGE_MAGIC + struct.pack("<III", *shape))  # a header, no values
+        with pytest.raises(ShapeError, match=re.escape(f"no size 0, got shape {shape}")):
             load_image(path)
 
     def test_csv_plane(self, tmp_path):
