@@ -60,6 +60,18 @@ class TestEncodeBlock:
         with pytest.raises(ShapeError):
             encode_tokens(np.zeros((4, 8)), w)
 
+    @pytest.mark.parametrize("tokens, residual, error, match", [
+        (np.zeros(16), "block", ShapeError, "tokens must be 2-D"),
+        (np.zeros((2, 4, 16)), "block", ShapeError, "tokens must be 2-D"),
+        (np.full((4, 16), np.nan), "block", ValidationError, "tokens contains non-finite"),
+        (np.full((4, 16), np.inf), "sublayer", ValidationError, "tokens contains non-finite"),
+        (np.zeros((4, 16)), "fused", ShapeError, "unknown residual mode 'fused'"),
+    ])
+    def test_bad_tokens_or_residual_rejected(self, tokens, residual, error, match):
+        w = init_block_weights(16, 2, seed=1)
+        with pytest.raises(error, match=match):
+            encode_tokens(tokens, w, residual=residual)
+
 
 class TestBlockedAttention:
     @pytest.mark.parametrize("residual", ["block", "sublayer"])
@@ -239,6 +251,63 @@ class TestPooledAttention:
         time.sleep(0.05)
         # the good part ran its FFN; the bad part stopped at its LN2 check
         assert finished == len(done) == 1
+
+
+class TestAnyCoreCount:
+    """One block over one token set at 1, 2 and 3 cores, which change its groups and parts."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 96, 97, 128, 192, 256, 257, 300])
+    def test_matches_unblocked_oracle(self, monkeypatch, n, cores):
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        for width, heads in [(48, 1), (48, 3), (48, 4), (48, 8), (64, 1), (64, 4), (64, 8)]:
+            x = make_rng(n + width + heads).normal(size=(n, width))
+            w = init_block_weights(width, heads, seed=n + heads)
+            for residual in ("block", "sublayer"):
+                got = encode_tokens(x, w, residual=residual)
+                with monkeypatch.context() as m:
+                    m.setattr(encoder, "_attention", attention_oracle)
+                    want = encode_tokens(x, w, residual=residual)
+                if n <= encoder.QUERY_BLOCK:
+                    assert np.array_equal(got, want), (width, heads, residual)
+                else:  # a short last query block may move the last ulp, as above
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 40, POOL_ABOVE + 1, 128, 192, 257, 768, 1024])
+    def test_tail_runs_in_near_equal_parts(self, monkeypatch, n, cores):
+        monkeypatch.setattr(numerics, "_CORES", cores)
+        x = make_rng(n).normal(size=(n, 32))
+        w = init_block_weights(32, 4, seed=4)
+        seen = []
+
+        def spy(m):
+            seen.append((threading.get_ident(), len(m)))
+            return gelu(m)
+
+        monkeypatch.setattr(encoder, "gelu", spy)
+        encode_tokens(x, w)
+        parts = min(cores, n // 2) if n > POOL_ABOVE else 1
+        assert sorted(rows for _, rows in seen) == sorted(
+            n * (i + 1) // parts - n * i // parts for i in range(parts))
+        # the pool keeps the thread count of its first use, so count only caller and workers
+        idents = {ident for ident, _ in seen}
+        assert threading.get_ident() in idents and (len(idents) > 1) == (parts > 1)
+
+    @pytest.mark.parametrize("n", [97, 128, 192, 300])
+    @pytest.mark.parametrize("width", [52, 100])
+    def test_within_rounding_where_blas_kernels_round_apart(self, monkeypatch, width, n):
+        # with 4 heads these widths leave N mod 8 at 4, where OpenBLAS rounds the products
+        # of tail parts above and below its small-matrix size apart: core counts may differ
+        # in the last ulps, never by more
+        x = make_rng(n).normal(size=(n, width))
+        w = init_block_weights(width, 4, seed=width)
+        outs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_CORES", cores)
+            outs.append(encode_tokens(x, w))
+        for out in outs[1:]:
+            assert np.abs(out - outs[0]).max() <= 1e-14 * np.abs(outs[0]).max()
 
 
 class TestElementwiseHelpers:
