@@ -20,11 +20,9 @@ A block over n > ``POOL_ABOVE`` (96) tokens, where two cores measured faster tha
 one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
 G = ``group_count(heads)``, each group reusing one (min(n, 256), n) score buffer
 that the caller allocates; then the row-wise tail (``wo``, LN2, FFN, residual) runs
-in P = ``group_count(n // 2)`` near-equal parts, part i on rows n*i//P up to n*(i+1)//P.
-A part has at least two rows: numpy sends a one-row matmul to BLAS gemv, whose
-bits differ from gemm's, and OpenBLAS 0.3.31 gemm (as measured at widths 48 and 64)
-gives a block of two or more rows the bits of the whole product, so output is the
-same for all G, P.
+in P = max(2, n // ``TAIL_ROWS``) near-equal parts, part i on rows n*i//P up to n*(i+1)//P.
+P depends on n alone: OpenBLAS rounds products of some row counts apart, so a P set by the
+core count would change the bits from host to host and inside ``run_batch``.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .tokens import TokenGrid
 
 QUERY_BLOCK = 256
 POOL_ABOVE = 96  # blocks of more tokens fan out heads and tail rows (measured crossover)
+TAIL_ROWS = 256  # rows per tail part, at least, from n = 512; 64-row parts measured slower
 
 
 @dataclass
@@ -156,7 +155,7 @@ def encode_tokens(
         raise ShapeError(f"unknown residual mode {residual!r}")
     n = len(x)
     out = _attention(layer_norm(x, ln_eps), w)  # each part overwrites its own rows
-    parts = numerics.group_count(n // 2) if n > POOL_ABOVE else 1
+    parts = max(2, n // TAIL_ROWS) if n > POOL_ABOVE else 1
 
     def tail(i):  # wo, LN2, FFN and residual of rows n*i//parts up to n*(i+1)//parts
         rows = slice(n * i // parts, n * (i + 1) // parts)

@@ -63,6 +63,8 @@ from .numerics import fan_out, parse_float, parse_int, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
+MAX_ROI_SAMPLES = 64  # roi_k * sampling_ratio, roi_align's lattice side: 8.4 MiB peak at width 64
+
 
 @dataclass(frozen=True)
 class PromptPerturbation:
@@ -114,6 +116,9 @@ class PipelineConfig:
         for name in ("patch_size", "embed_dim", "heads", "d_v", "roi_k", "sampling_ratio"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.roi_k * self.sampling_ratio > MAX_ROI_SAMPLES:
+            raise ConfigurationError(f"roi_k * sampling_ratio must be <= {MAX_ROI_SAMPLES}, "
+                                     f"got {self.roi_k} * {self.sampling_ratio}")
         if not 0 < self.ln_eps < np.inf:
             raise ConfigurationError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
         if self.embed_dim % self.heads:
@@ -121,9 +126,9 @@ class PipelineConfig:
         choices = {"mask_mode": ("zero", "compact"), "residual": ("block", "sublayer"),
                    "positional": ("sinusoidal", "learned", "none"), "proj_tied": (True, False)}
         for name, allowed in choices.items():
-            if getattr(self, name) not in allowed:
-                raise ConfigurationError(f"{name} must be one of {allowed}, "
-                                         f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) is not type(allowed[0]) or value not in allowed:  # 1 == True, 0 == False
+                raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 

@@ -224,18 +224,23 @@ class TestErrors:
         (["prune", "--image"], (0, 16, 16)),
         (["prune", "--image"], (1, 0, 16)),
         (["prune", "--image"], (1, 16, 0)),
+        (["prune", "--roi-k", "20000"], None),
+        (["prune", "--config"], {"sampling_ratio": 4000}),
+        (["prune", "--config"], {"proj_tied": 1}),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
             "spec-unknown-key", "spec-policy-without-mode", "box-list", "box-text-coordinate",
             "box-null-coordinate", "box-bool-coordinates", "box-numeric-text-coordinate",
             "config-bool-ln-eps", "config-text-ln-eps", "config-infinite-ln-eps",
             "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
             "spec-infinite-magnitude", "spec-text-magnitude", "image-0x16x16", "image-1x0x16",
-            "image-1x16x0"])
+            "image-1x16x0", "flag-huge-roi-k", "config-huge-sampling-ratio", "config-int-proj-tied"])
     def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
         if argv[1:] == ["--image"]:  # spec is the shape an image file declares, with no values
             image = tmp_path / "empty.prti"
             image.write_bytes(IMAGE_MAGIC + struct.pack("<III", *spec))
             argv = ["prune", "--image", str(image), "--box", str(scene_files[1])]
+        elif argv[0] == "prune" and spec is None:  # flags after a good image and box
+            argv = ["prune", "--image", str(scene_files[0]), "--box", str(scene_files[1]), *argv[1:]]
         elif argv[0] == "prune":  # spec is the box record, or with --config the config
             path = tmp_path / "record.json"
             path.write_text(json.dumps(spec))

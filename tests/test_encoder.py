@@ -142,11 +142,13 @@ class TestPooledAttention:
         assert finished == len(done) == 6
 
     @pytest.mark.parametrize("residual", ["block", "sublayer"])
-    @pytest.mark.parametrize("n", [257, 258, 259, 511, 513, 768, 769, 1025, 2048])
-    def test_tail_parts_bitwise_equal_for_any_core_count(self, monkeypatch, n, residual):
-        # three cores split 257 rows 85/86/86; fixed 256-row chunks would leave a 1-row tail
-        x = make_rng(n).normal(size=(n, 32))
-        w = init_block_weights(32, 4, seed=n)
+    @pytest.mark.parametrize("width", [32, 36, 44, 48, 52, 64, 100])
+    @pytest.mark.parametrize("n", [97, 128, 160, 192, 256, 257, 300, 513, 768, 1024, 2048])
+    def test_tail_parts_bitwise_equal_for_any_core_count(self, monkeypatch, n, width, residual):
+        # OpenBLAS rounds products of some row counts apart at widths 36, 44, 52 and 100; the
+        # parts' row counts are set by n alone, so the bits hold there too
+        x = make_rng(n).normal(size=(n, width))
+        w = init_block_weights(width, 4, seed=n)
         outs = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(numerics, "_CORES", cores)
@@ -202,12 +204,12 @@ class TestPooledAttention:
         for ident, out in groups:
             assert np.array_equal(out, serial)
             assert Counter(what for who, what in seen if who == ident) == \
-                {"buffer": 1, "head": 4, n: 1}  # one buffer, 4 heads of one block, one part
+                {"buffer": 1, "head": 4, 128: 2}  # one buffer, 4 heads and 2 row parts of one block
         assert {who for who, _ in seen} == {ident for ident, _ in groups}
 
-    @pytest.mark.parametrize("n, threads", [(40, 1), (POOL_ABOVE, 1), (POOL_ABOVE + 1, 2),
-                                            (1024, 2)])
-    def test_tail_rows_leave_the_caller_above_the_threshold(self, monkeypatch, n, threads):
+    @pytest.mark.parametrize("n, parts, threads", [(40, 1, 1), (POOL_ABOVE, 1, 1),
+                                                   (POOL_ABOVE + 1, 2, 2), (1024, 4, 2)])
+    def test_tail_rows_leave_the_caller_above_the_threshold(self, monkeypatch, n, parts, threads):
         monkeypatch.setattr(numerics, "_CORES", 2)
         x = make_rng(n).normal(size=(n, 32))
         w = init_block_weights(32, 4, seed=1)
@@ -220,9 +222,9 @@ class TestPooledAttention:
         monkeypatch.setattr(encoder, "gelu", spy)
         encode_tokens(x, w)
         idents = {ident for ident, _ in seen}
-        assert len(idents) == len(seen) == threads and threading.get_ident() in idents
-        assert sorted(rows for _, rows in seen) == [n * (i + 1) // threads - n * i // threads
-                                                    for i in range(threads)]
+        assert len(idents) == threads and len(seen) == parts and threading.get_ident() in idents
+        assert sorted(rows for _, rows in seen) == sorted(n * (i + 1) // parts - n * i // parts
+                                                          for i in range(parts))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("residual", ["block", "sublayer"])
@@ -254,7 +256,7 @@ class TestPooledAttention:
 
 
 class TestAnyCoreCount:
-    """One block over one token set at 1, 2 and 3 cores, which change its groups and parts."""
+    """One block over one token set at 1, 2 and 3 cores, which change its groups, not its parts."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 96, 97, 128, 192, 256, 257, 300])
@@ -287,27 +289,12 @@ class TestAnyCoreCount:
 
         monkeypatch.setattr(encoder, "gelu", spy)
         encode_tokens(x, w)
-        parts = min(cores, n // 2) if n > POOL_ABOVE else 1
+        parts = max(2, n // 256) if n > POOL_ABOVE else 1  # set by n alone
         assert sorted(rows for _, rows in seen) == sorted(
             n * (i + 1) // parts - n * i // parts for i in range(parts))
         # the pool keeps the thread count of its first use, so count only caller and workers
         idents = {ident for ident, _ in seen}
-        assert threading.get_ident() in idents and (len(idents) > 1) == (parts > 1)
-
-    @pytest.mark.parametrize("n", [97, 128, 192, 300])
-    @pytest.mark.parametrize("width", [52, 100])
-    def test_within_rounding_where_blas_kernels_round_apart(self, monkeypatch, width, n):
-        # with 4 heads these widths leave N mod 8 at 4, where OpenBLAS rounds the products
-        # of tail parts above and below its small-matrix size apart: core counts may differ
-        # in the last ulps, never by more
-        x = make_rng(n).normal(size=(n, width))
-        w = init_block_weights(width, 4, seed=width)
-        outs = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(numerics, "_CORES", cores)
-            outs.append(encode_tokens(x, w))
-        for out in outs[1:]:
-            assert np.abs(out - outs[0]).max() <= 1e-14 * np.abs(outs[0]).max()
+        assert threading.get_ident() in idents and (len(idents) > 1) == (min(cores, parts) > 1)
 
 
 class TestElementwiseHelpers:

@@ -293,13 +293,14 @@ class TestRunSweep:
         content = (tmp_path / "sweep.csv").read_text()
         assert "ConfigurationError" in content
 
-    def test_bad_k_is_an_error_row(self, tmp_path):
-        spec = _small_spec(k_values=[0, 3], seeds=2)
+    @pytest.mark.parametrize("k", [0, 20000])  # k = 20000 would pool a 40000^2-sample lattice
+    def test_bad_k_is_an_error_row(self, tmp_path, k):
+        spec = _small_spec(k_values=[k, 3], seeds=2)
         summary = run_sweep(spec, tmp_path)
         assert summary["total_rows"] == 4 and summary["failed_rows"] == 2
         with open(tmp_path / "sweep.csv") as f:
             rows = list(csv.DictReader(f))
-        assert [r["k"] for r in rows if r["error"]] == ["0", "0"]
+        assert [r["k"] for r in rows if r["error"]] == [str(k), str(k)]
         assert all(r["error"].startswith("ConfigurationError: roi_k") for r in rows if r["error"])
 
     def test_spec_from_dict(self):
