@@ -51,8 +51,13 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    kwargs = {name: getattr(args, name) for name in ("patch_size", "roi_k", "seed")
-              if getattr(args, name, None) is not None}
+    kwargs = {}
+    if getattr(args, "patch_size", None) is not None:
+        kwargs["patch_size"] = args.patch_size
+    if getattr(args, "roi_k", None) is not None:
+        kwargs["roi_k"] = args.roi_k
+    if getattr(args, "seed", None) is not None:
+        kwargs["seed"] = args.seed
     mode = getattr(args, "tau_mode", None)
     value = getattr(args, "tau_value", None)
     if mode is not None or value is not None:

@@ -126,18 +126,15 @@ def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
     bufs = [np.empty((min(n, QUERY_BLOCK), n))
             for _ in range(numerics.group_count(w.heads) if n > POOL_ABOVE else 1)]
 
-    def head(h):
-        q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
-        for r in range(0, n, QUERY_BLOCK):
-            m = min(QUERY_BLOCK, n - r)
-            sc = _scores(q[r:r + m], kt, out=bufs[h % len(bufs)][:m])
-            out[r:r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc) @ v
+    def group(g):  # heads g, g + G, ... through buffer g, G = len(bufs)
+        for h in range(g, w.heads, len(bufs)):
+            q, kt, v = x @ w.wq[h], (x @ w.wk[h]).T, x @ w.wv[h]
+            for r in range(0, n, QUERY_BLOCK):
+                m = min(QUERY_BLOCK, n - r)
+                sc = _scores(q[r:r + m], kt, out=bufs[g][:m])
+                out[r:r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc) @ v
 
-    if len(bufs) > 1:
-        fan_out(head, w.heads)
-    else:
-        for h in range(w.heads):
-            head(h)
+    fan_out(group, len(bufs))
     return out
 
 

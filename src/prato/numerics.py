@@ -102,15 +102,13 @@ def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
 
 
 def logistic(x):
-    """Numerically stable 1/(1 + exp(-x)); accepts scalars or arrays."""
+    """Numerically stable 1/(1 + exp(-x)), elementwise; a scalar gives a 0-d array."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

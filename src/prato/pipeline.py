@@ -63,7 +63,7 @@ from .numerics import fan_out, parse_float, parse_int, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
-MAX_ROI_SAMPLES = 64  # roi_k * sampling_ratio, roi_align's lattice side: 8.4 MiB peak at width 64
+MAX_ROI_SAMPLES = 128  # roi_k * sampling_ratio, roi_align's lattice side: 33.3 MiB peak at width 64
 
 
 @dataclass(frozen=True)

@@ -134,12 +134,10 @@ def compute_similarity(region, tokens, proj: Projections) -> np.ndarray:
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row of a row-stochastic matrix."""
     p = as_matrix(probs, "probs")
-    out = np.zeros(p.shape[0])
     mask = p > 0
     logs = np.zeros_like(p)
     logs[mask] = np.log2(p[mask])
-    np.negative((p * logs).sum(axis=1), out=out)
-    return out
+    return -(p * logs).sum(axis=1)
 
 
 def inverse_entropy_weights(entropies) -> np.ndarray:

@@ -132,8 +132,10 @@ def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) ->
     bin value is the mean of its probes. Rows are in row-major bin
     order: bin (by, bx) is row by*k + bx.
     """
-    if k < 1 or sampling_ratio < 1:
-        raise ConfigurationError(f"k and sampling_ratio must be >= 1, got {k} and {sampling_ratio}")
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if sampling_ratio < 1:
+        raise ConfigurationError(f"sampling_ratio must be >= 1, got {sampling_ratio}")
     eps = 1e-9
     if box.x1 < -eps or box.y1 < -eps or box.x2 > grid.grid_w + eps or box.y2 > grid.grid_h + eps:
         raise RangeError(

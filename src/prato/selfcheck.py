@@ -183,22 +183,24 @@ def check_encoder_identity(rng) -> bool:
 def check_attention_rows(rng) -> bool:
     # two cores: heads {0, 2} and {1} (or {1, 3}), rows 0-149 and 150-300 (or 0-255 and 256-511);
     # OpenBLAS rounds products of 256 and 512 rows apart at width 52: a core-count layout fails
-    saved, got, want = numerics._CORES, {}, {}
+    saved = numerics._CORES
+    ok = True
     try:
         for width, heads, n in ((48, 3, encoder.QUERY_BLOCK + 45), (52, 4, 2 * encoder.QUERY_BLOCK)):
             x = rng.normal(size=(n, width))
             w = encoder.init_block_weights(width, heads, seed=5)
             a = attention_oracle(numerics.layer_norm(x), w) @ w.wo
             ffn = lambda h: encoder.gelu(numerics.layer_norm(h) @ w.ffn_in) @ w.ffn_out
-            want[width, "block"], want[width, "sublayer"] = ffn(a) + x, ffn(x + a) + x + a
-            for numerics._CORES in (1, 2):
-                for residual in ("block", "sublayer"):
+            for residual, want in (("block", ffn(a) + x), ("sublayer", ffn(x + a) + x + a)):
+                got = []
+                for numerics._CORES in (1, 2):
                     np.full(x.shape, np.nan)  # freed at once, so a skipped group or part reads NaN, not the last run
-                    got[width, residual, numerics._CORES] = encoder.encode_tokens(x, w, residual)
+                    got.append(encoder.encode_tokens(x, w, residual))
+                ok &= np.abs(got[0] - want).max() <= 1e-14 * np.abs(want).max()
+                ok &= np.array_equal(got[0], got[1])
     finally:
         numerics._CORES = saved
-    return all(np.abs(got[(*key, 1)] - v).max() <= 1e-14 * np.abs(v).max()
-               and np.array_equal(got[(*key, 1)], got[(*key, 2)]) for key, v in want.items())
+    return bool(ok)
 
 
 def attention_oracle(x, w):

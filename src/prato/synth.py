@@ -302,8 +302,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     with open_new(csv_path, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
     summary = _summarize(rows)
     summary_path = os.path.join(out_dir, "summary.json")

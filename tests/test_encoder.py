@@ -143,10 +143,12 @@ class TestPooledAttention:
 
     @pytest.mark.parametrize("residual", ["block", "sublayer"])
     @pytest.mark.parametrize("width", [32, 36, 44, 48, 52, 64, 100])
-    @pytest.mark.parametrize("n", [97, 128, 160, 192, 256, 257, 300, 513, 768, 1024, 2048])
+    @pytest.mark.parametrize("n", [97, 128, 160, 192, 256, 257, 258, 259, 300, 511, 513, 768, 769,
+                                   1024, 1025, 2048])
     def test_tail_parts_bitwise_equal_for_any_core_count(self, monkeypatch, n, width, residual):
         # OpenBLAS rounds products of some row counts apart at widths 36, 44, 52 and 100; the
-        # parts' row counts are set by n alone, so the bits hold there too
+        # parts' row counts are set by n alone, so the bits hold there too. Odd n split unevenly:
+        # 769 rows make parts of 256, 256 and 257, and 1025 rows end in a 257-row part
         x = make_rng(n).normal(size=(n, width))
         w = init_block_weights(width, 4, seed=n)
         outs = []
@@ -289,7 +291,7 @@ class TestAnyCoreCount:
 
         monkeypatch.setattr(encoder, "gelu", spy)
         encode_tokens(x, w)
-        parts = max(2, n // 256) if n > POOL_ABOVE else 1  # set by n alone
+        parts = max(2, n // encoder.TAIL_ROWS) if n > POOL_ABOVE else 1  # set by n alone
         assert sorted(rows for _, rows in seen) == sorted(
             n * (i + 1) // parts - n * i // parts for i in range(parts))
         # the pool keeps the thread count of its first use, so count only caller and workers

@@ -291,15 +291,15 @@ class TestHelpers:
         dict(positional="rotary"), dict(ln_eps=0.0), dict(ln_eps=-1e-6), dict(ln_eps=math.nan),
         dict(ln_eps=math.inf),
         dict(proj_tied="false"), dict(proj_tied=1), dict(proj_tied=0), dict(proj_tied=1.0),
-        dict(roi_k=65, sampling_ratio=1), dict(roi_k=33), dict(sampling_ratio=13),
+        dict(roi_k=129, sampling_ratio=1), dict(roi_k=65), dict(sampling_ratio=26),
     ], ids=repr)
     def test_config_rejects_bad_field(self, bad):
         with pytest.raises(ConfigurationError):
             PipelineConfig(**bad)
 
     def test_config_bounds_the_region_lattice(self):
-        assert PipelineConfig(roi_k=32, sampling_ratio=2).roi_k == 32  # 64 samples a side
-        assert PipelineConfig(roi_k=1, sampling_ratio=64).sampling_ratio == 64
+        assert PipelineConfig(roi_k=64, sampling_ratio=2).roi_k == 64  # 128 samples a side
+        assert PipelineConfig(roi_k=1, sampling_ratio=128).sampling_ratio == 128
 
     def test_config_from_dict_reads_every_prefix_key_field(self):
         cfg = config_from_dict({"ln_eps": 1e-5, "proj_tied": False})
@@ -313,7 +313,7 @@ class TestHelpers:
         ({"stage_indices": 1}, "bad config value"),
         ({"proj_tied": "false"}, "proj_tied"),
         ({"proj_tied": 1}, r"proj_tied must be one of \(True, False\), got 1"),
-        ({"sampling_ratio": 4000}, r"roi_k \* sampling_ratio must be <= 64, got 5 \* 4000"),
+        ({"sampling_ratio": 4000}, r"roi_k \* sampling_ratio must be <= 128, got 5 \* 4000"),
         ({"heads": 0}, "heads"),
         ([{"depth": 2}], "config must be a JSON object, got list"),
         ({"patch_size": 16.9}, "patch_size must be an integer, got 16.9"),
