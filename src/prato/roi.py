@@ -47,6 +47,9 @@ def box_from_dict(d: dict) -> BoxPrompt:
     """A box from a JSON object of four numbers; any other record raises ValidationError."""
     if not isinstance(d, dict):
         raise ValidationError(f"box record must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {"x1", "y1", "x2", "y2"})
+    if unknown:
+        raise ValidationError(f"unknown box record fields: {', '.join(unknown)}")
     try:
         coords = [parse_float(d[name], name) for name in ("x1", "y1", "x2", "y2")]
     except KeyError as exc:

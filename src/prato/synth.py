@@ -175,6 +175,11 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
     unknown = sorted(set(d) - set(_SPEC_REQUIRED) - set(_SPEC_OPTIONAL))
     if unknown:
         raise ConfigurationError(f"unknown sweep spec keys: {', '.join(unknown)}")
+    for key, fields in (("policies", {"mode", "value"}), ("perturbations", {"kind", "magnitude"})):
+        records = d[key] if isinstance(d[key], list) else []  # the parse below refuses a non-list
+        unknown = sorted({f for p in records if isinstance(p, dict) for f in p} - fields)
+        if unknown:
+            raise ConfigurationError(f"unknown sweep spec {key} fields: {', '.join(unknown)}")
     try:
         policies = [ThresholdPolicy(p["mode"], parse_float(p["value"], "value")) for p in d["policies"]]
         perts = [

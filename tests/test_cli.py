@@ -208,11 +208,14 @@ class TestErrors:
         (["sweep"], {"k_values": None}),
         (["sweep"], {"sizee": 64}),
         (["sweep"], {"policies": [{"value": 25}]}),
+        (["sweep"], {"policies": [{"mode": "percentile", "value": 25, "extra": 1}]}),
+        (["sweep"], {"perturbations": [{"kind": "oversized", "magnitdue": 0.9}]}),
         (["prune"], [0.1, 0.1, 0.5, 0.5]),
         (["prune"], {"x1": "a", "y1": 0.1, "x2": 0.5, "y2": 0.5}),
         (["prune"], {"x1": None, "y1": 0.1, "x2": 0.5, "y2": 0.5}),
         (["prune"], {"x1": False, "y1": False, "x2": True, "y2": True}),
         (["prune"], {"x1": "0.1", "y1": 0.1, "x2": 0.5, "y2": 0.5}),
+        (["prune"], {"x1": 0.1, "y1": 0.1, "x2": 0.5, "y2": 0.5, "x3": 0.9}),
         (["prune", "--config"], {"ln_eps": True}),
         (["prune", "--config"], {"ln_eps": "1e-3"}),
         (["prune", "--config"], {"ln_eps": math.inf}),
@@ -228,8 +231,9 @@ class TestErrors:
         (["prune", "--config"], {"sampling_ratio": 4000}),
         (["prune", "--config"], {"proj_tied": 1}),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
-            "spec-unknown-key", "spec-policy-without-mode", "box-list", "box-text-coordinate",
-            "box-null-coordinate", "box-bool-coordinates", "box-numeric-text-coordinate",
+            "spec-unknown-key", "spec-policy-without-mode", "spec-policy-unknown-field",
+            "spec-misspelled-magnitude", "box-list", "box-text-coordinate", "box-null-coordinate",
+            "box-bool-coordinates", "box-numeric-text-coordinate", "box-unknown-field",
             "config-bool-ln-eps", "config-text-ln-eps", "config-infinite-ln-eps",
             "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
             "spec-infinite-magnitude", "spec-text-magnitude", "image-0x16x16", "image-1x0x16",

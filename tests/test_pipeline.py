@@ -898,8 +898,9 @@ class TestManyPrompts:
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
         prefix = encode_prefix(scene.image, cfg)
         results = run_pipeline(scene.image, [scene.tight_box] * 5, cfgs, prefix=prefix)
-        # Z = 64: 48 kept at q25, 32 at q50 and 1 at q99, one call per prompt and block
-        assert calls == [64] * 2 + [48, 32, 48, 1, 1] * 2
+        # Z = 64: 48 kept at q25, 32 at q50 and 1 at q99; one call per prompt and block, and
+        # each prompt runs blocks 2 and 3 before the next prompt starts
+        assert calls == [64] * 2 + [48, 48, 32, 32, 48, 48, 1, 1, 1, 1]
         monkeypatch.undo()
         for got, c in zip(results, cfgs):
             _assert_same_entry(got, _run_alone(scene.image, scene.tight_box, c))
@@ -983,9 +984,9 @@ class TestManyPrompts:
 
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
         stopped = run_pipeline(scene.image, boxes, cfgs, stop_at_last_stage=True)
-        # prompt 0 stops after block 0, the prefix; block 1 runs prompts 1-3; prompt 2 stops
-        # after block 1 and prompt 1 (16 left) after block 2, so block 3 runs prompt 3 alone
-        assert calls == [64, 32, 48, 48, 32, 48, 48]
+        # prompt 0 stops after block 0, the prefix; prompt 1 (32 kept, then 16) stops after
+        # block 2, prompt 2 after block 1, and prompt 3 runs blocks 1-3; 4 and 5 fail at block 0
+        assert calls == [64, 32, 32, 48, 48, 48, 48]
         del calls[:]
         single = run_pipeline(scene.image, boxes[1], cfgs[1], stop_at_last_stage=True)
         assert calls == [64, 32, 32]

@@ -47,6 +47,10 @@ class TestBoxPrompt:
         with pytest.raises(ValidationError):
             box_from_dict({"x1": 0, "y1": 0, "x2": 1})
 
+    def test_unknown_field(self):
+        with pytest.raises(ValidationError, match="unknown box record fields: x3"):
+            box_from_dict({"x1": 0, "y1": 0, "x2": 1, "y2": 1, "x3": 1})
+
     @pytest.mark.parametrize("x1", [False, "0.1", math.inf, math.nan, None, [0.1]])
     def test_coordinate_must_be_a_finite_number(self, x1):
         with pytest.raises(ValidationError, match="x1 must be a finite number"):

@@ -330,6 +330,10 @@ class TestRunSweep:
         ({"sizee": 64}, "unknown sweep spec keys: sizee"),
         ({"policies": [{"value": 25}]}, "sweep spec record is missing field 'mode'"),
         ({"perturbations": [{}]}, "sweep spec record is missing field 'kind'"),
+        ({"perturbations": [{"kind": "oversized", "magnitdue": 0.9}]},
+         "unknown sweep spec perturbations fields: magnitdue"),
+        ({"policies": [{"mode": "percentile", "value": 25, "tau": 1, "extra": 2}]},
+         "unknown sweep spec policies fields: extra, tau"),
         ({"k_values": ["three"]}, "bad sweep spec value"),
         ({"seeds": [2]}, "bad sweep spec value"),
         ({"policies": ["percentile"]}, "bad sweep spec value"),
