@@ -18,12 +18,12 @@ weights (unless they are passed), tokenizes, and runs blocks
 ``0..stage_indices[0]``; none of that reads the prompt, the threshold
 policy or ``roi_k``. The continuation scores, masks and encodes the
 remaining blocks and builds the :class:`CostReport`; a caller that reads no
-token values may end each prompt at its own last stage. A caller may pass a
-prefix it encoded earlier to run only the continuation, and may pass many
-prompts at once on one prefix: prompts with the same box, ``roi_k`` and
-``sampling_ratio`` share the first stage's scoring (read-only) and differ
-only in the mask their policy cuts; each prompt runs through the later
-blocks on its own live tokens.
+token values may end the run at its last stage. A caller may pass a prefix
+it encoded earlier to run only the continuation, one prompt per call. The
+prefix keeps the first-stage scoring of the last region (box, ``roi_k``,
+``sampling_ratio``) run on it, read-only, so consecutive prompts on one
+region pool and score it once and differ only in the mask their policy
+cuts. Threads sharing a prefix at worst score a region twice.
 Reuse goes by key, never by shape: weights carry their
 :func:`weights_key` (seed, depth, patch size, embed width, heads, d_v,
 positional mode, projection tying, and the image's channels, height and
@@ -356,15 +356,19 @@ class EncodedPrefix:
     """The work of a run before its first pruning stage, reusable across prompts.
 
     ``tokens`` are the read-only (Z, C) tokens after block
-    ``stage_indices[0]``. ``key`` is :func:`prefix_key` of the config
-    and image the prefix was encoded under, and ``image`` is that image,
-    which must not be modified in place while the prefix is reused.
+    ``stage_indices[0]`` and ``coords`` their read-only grid (row, col).
+    ``key`` is :func:`prefix_key` of the config and image the prefix was
+    encoded under, and ``image`` is that image, which must not be modified
+    in place while the prefix is reused. ``scored`` maps the last region
+    scored at the first stage to its read-only bundle.
     """
 
     key: dict
     image: np.ndarray
     weights: PipelineWeights
     tokens: np.ndarray
+    coords: np.ndarray
+    scored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def prefix_key(cfg: PipelineConfig, image_shape) -> dict:
@@ -398,57 +402,10 @@ def encode_prefix(img, cfg: PipelineConfig, weights: PipelineWeights = None) -> 
     tokens = tokenize_image(img, weights.embedder, p).tokens
     for b in range(cfg.stage_indices[0] + 1):
         tokens = encode_tokens(tokens, weights.blocks[b], residual=cfg.residual, ln_eps=cfg.ln_eps)
-    tokens.flags.writeable = False
-    return EncodedPrefix(key=prefix_key(cfg, img.shape), image=img, weights=weights, tokens=tokens)
-
-
-def _run_prompt(prefix: EncodedPrefix, box: BoxPrompt, cfg: PipelineConfig, coords: np.ndarray,
-                scored: dict, stop_at_last_stage: bool):
-    """Run one prompt from its first stage on: (tokens, keep, coords, bundles, live), where its kept
-    tokens are ``tokens[keep]`` (``tokens`` if keep is None) and ``live`` counts the tokens entering
-    each block that ran. Every first stage scores the prefix tokens, so a region (box, roi_k,
-    sampling_ratio) that ``scored`` holds was scored for an earlier prompt: reuse it, read-only."""
-    grid_h, grid_w = (n // cfg.patch_size for n in prefix.image.shape[1:])
-    first, tokens, keep, bundles = cfg.stage_indices[0], prefix.tokens, None, []
-    live = [len(coords)] * (first + 1)
-    for b in range(first, cfg.stage_indices[-1] + 1 if stop_at_last_stage else cfg.depth):
-        if b > first:  # the prefix ran block first
-            live.append(len(coords))
-            tokens, keep = encode_tokens(tokens if keep is None else tokens[keep], prefix.weights.blocks[b],
-                                         residual=cfg.residual, ln_eps=cfg.ln_eps), None
-        if b not in cfg.stage_indices:
-            continue
-        region, cache = (box, cfg.roi_k, cfg.sampling_ratio), scored if b == first else {}
-        if region in cache:
-            bundle = replace(cache[region])  # shares the arrays, made read-only
-            for a in (bundle.similarity, bundle.entropies, bundle.weights, bundle.relevance):
-                a.flags.writeable = False
-            bundle.mask, bundle.tau_effective = build_mask(bundle.relevance, cfg.policy)
-        else:
-            grid = TokenGrid(scatter_tokens(PrunedTokens("compact", tokens, coords, grid_h, grid_w)),
-                             grid_h, grid_w)
-            bundle = cache[region] = prato_score(grid, box, prefix.weights.projections, cfg.roi_k,
-                                                 cfg.policy, cfg.sampling_ratio, tokens=tokens)
-        keep = bundle.mask.astype(bool)
-        if not keep.any():
-            raise EmptyRetentionError(f"stage after block {b} retained zero tokens")
-        coords = coords[keep]
-        bundles.append(bundle)
-    return tokens, keep, coords, bundles, live
-
-
-def _result(tokens, keep, coords, bundles, live, cfg: PipelineConfig, grid_h: int, grid_w: int):
-    """A prompt's (tokens, bundles, report) from what :func:`_run_prompt` returned."""
-    z = grid_h * grid_w
-    pruned = PrunedTokens("compact", tokens if keep is None else tokens[keep], coords, grid_h, grid_w)
-    if cfg.mask_mode == "zero":
-        pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
-    live = live + [len(coords)] * (cfg.depth - len(live))  # no block ran after the last stage
-    flops_full, flops_pruned = estimate_flops(z, cfg.embed_dim, cfg.depth, live)
-    return pruned, bundles, CostReport(
-        tokens_full=z, tokens_retained=[int(bundle.mask.sum()) for bundle in bundles],
-        token_sparsity=1.0 - pruned.retained_count / z, flops_full=flops_full,
-        flops_pruned=flops_pruned, flops_reduction=1.0 - flops_pruned / flops_full)
+    coords = row_major_index_map(grid_h, grid_w)
+    tokens.flags.writeable = coords.flags.writeable = False
+    return EncodedPrefix(key=prefix_key(cfg, img.shape), image=img, weights=weights, tokens=tokens,
+                         coords=coords)
 
 
 def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: EncodedPrefix = None,
@@ -461,44 +418,64 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
     ``prefix``, from :func:`encode_prefix` on the same image and a config
     with the same :func:`prefix_key`, skips everything before the first
     stage. Either raises ConfigurationError under another key, and the
-    output is bit-identical to a fresh run. Equal-length lists of boxes and
-    of configs with one prefix key return a list: each prompt's result or
-    exception, bit-identical to a run of that prompt alone.
+    output is bit-identical to a fresh run. On a passed prefix the first
+    stage's similarity, entropies, weights and relevance are read-only: a
+    run on the region the prefix scored last shares them.
 
-    With ``stop_at_last_stage`` no block after a prompt's last stage runs: its tokens are those
-    that stage kept, and its bundles and report are the full run's, bit for bit. Only a later
-    block could fail, on non-finite tokens, which the sweep and the CLI (they read no token)
-    cannot meet: images lie in [0, 1] (``validate_image``) and their weights are small-std draws.
+    With ``stop_at_last_stage`` no block after the last stage runs: the tokens are those that
+    stage kept, and the bundles and report are the full run's, bit for bit. Only a later block
+    could fail, on non-finite tokens, which the sweep and the CLI (they read no token) cannot
+    meet: images lie in [0, 1] (``validate_image``) and their weights are small-std draws.
     """
-    many = isinstance(box, list)
-    if many != isinstance(cfg, list) or many and (len(box) != len(cfg) or not box):
-        raise ShapeError("pass one box and one config, or non-empty lists of equal length")
-    boxes, cfgs = (box, cfg) if many else ([box], [cfg])
     given = prefix is not None
     if given and weights is not None:
         raise ConfigurationError("pass weights or a prefix, not both")
-    prefix = prefix if given else encode_prefix(img, cfgs[0], weights)
-    for c in cfgs:
-        _check_key(prefix.key, prefix_key(c, np.shape(img)),
-                   "prefix was encoded under a different key")
-    if given and not np.array_equal(img, prefix.image):
+    prefix = prefix if given else encode_prefix(img, cfg, weights)
+    _check_key(prefix.key, prefix_key(cfg, np.shape(img)), "prefix was encoded under a different key")
+    if given and img is not prefix.image and not np.array_equal(img, prefix.image):
         raise ConfigurationError("prefix was encoded from a different image")
 
-    grid_h, grid_w = (n // cfgs[0].patch_size for n in prefix.image.shape[1:])
-    coords, scored, runs = row_major_index_map(grid_h, grid_w), {}, []
-    for bx, c in zip(boxes, cfgs):
-        try:
-            runs.append(_run_prompt(prefix, bx, c, coords, scored, stop_at_last_stage))
-        except Exception as exc:
-            runs.append(exc)
-    # Each prompt's kept tokens are gathered only once every prompt has run: gathering them at
-    # its last stage instead read the sweep bench's probe-scaled throughput 5-16% lower in 5 of
-    # 5 pairs, with raw throughput no lower (the bench's allocating speed probe ran faster).
-    results = [run if isinstance(run, Exception) else _result(*run, c, grid_h, grid_w)
-               for run, c in zip(runs, cfgs)]
-    if not many and isinstance(results[0], Exception):
-        raise results[0]
-    return results if many else results[0]
+    grid_h, grid_w = (n // cfg.patch_size for n in prefix.image.shape[1:])
+    first, tokens, keep, coords, bundles = cfg.stage_indices[0], prefix.tokens, None, prefix.coords, []
+    live = [len(coords)] * (first + 1)
+    for b in range(first, cfg.stage_indices[-1] + 1 if stop_at_last_stage else cfg.depth):
+        if b > first:  # the prefix ran block first
+            live.append(len(coords))
+            tokens, keep = encode_tokens(tokens if keep is None else tokens[keep], prefix.weights.blocks[b],
+                                         residual=cfg.residual, ln_eps=cfg.ln_eps), None
+        if b not in cfg.stage_indices:
+            continue
+        region, memo = (box, cfg.roi_k, cfg.sampling_ratio), given and b == first
+        bundle = prefix.scored.get(region) if memo else None
+        if bundle is not None:
+            bundle = replace(bundle)
+            bundle.mask, bundle.tau_effective = build_mask(bundle.relevance, cfg.policy)
+        else:
+            grid = TokenGrid(scatter_tokens(PrunedTokens("compact", tokens, coords, grid_h, grid_w)),
+                             grid_h, grid_w)
+            bundle = prato_score(grid, box, prefix.weights.projections, cfg.roi_k, cfg.policy,
+                                 cfg.sampling_ratio, tokens=tokens)
+            if memo:
+                for a in (bundle.similarity, bundle.entropies, bundle.weights, bundle.relevance):
+                    a.flags.writeable = False
+                prefix.scored.clear()
+                prefix.scored[region] = replace(bundle)
+        keep = bundle.mask.astype(bool)
+        if not keep.any():
+            raise EmptyRetentionError(f"stage after block {b} retained zero tokens")
+        coords = coords[keep]
+        bundles.append(bundle)
+
+    z = grid_h * grid_w
+    pruned = PrunedTokens("compact", tokens if keep is None else tokens[keep], coords, grid_h, grid_w)
+    if cfg.mask_mode == "zero":
+        pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
+    live += [len(coords)] * (cfg.depth - len(live))  # no block ran after the last stage
+    flops_full, flops_pruned = estimate_flops(z, cfg.embed_dim, cfg.depth, live)
+    return pruned, bundles, CostReport(
+        tokens_full=z, tokens_retained=[int(bundle.mask.sum()) for bundle in bundles],
+        token_sparsity=1.0 - pruned.retained_count / z, flops_full=flops_full,
+        flops_pruned=flops_pruned, flops_reduction=1.0 - flops_pruned / flops_full)
 
 
 def run_batch(images, boxes, cfg: PipelineConfig):

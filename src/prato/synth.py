@@ -105,13 +105,17 @@ def _target_mask(kind: str, h: int, w: int, rng: np.random.Generator) -> np.ndar
     raise ConfigurationError(f"unknown target kind {kind!r}")
 
 
-def generate_scene(kind: str, size: int, seed: int) -> Scene:
-    """Deterministic textured scene with one bright target and its tight box."""
+def _check_scene(kind: str, size: int) -> None:
     if kind not in TARGET_KINDS:
         raise ConfigurationError(f"unknown target kind {kind!r}")
+    if not SCENE_SIZE_MIN <= size <= SCENE_SIZE_MAX:
+        raise ConfigurationError(f"scene size {size} must lie in [{SCENE_SIZE_MIN}, {SCENE_SIZE_MAX}]")
+
+
+def generate_scene(kind: str, size: int, seed: int) -> Scene:
+    """Deterministic textured scene with one bright target and its tight box."""
     h = w = int(size)
-    if not SCENE_SIZE_MIN <= h <= SCENE_SIZE_MAX:
-        raise ConfigurationError(f"scene size {h} must lie in [{SCENE_SIZE_MIN}, {SCENE_SIZE_MAX}]")
+    _check_scene(kind, h)
     rng = make_rng(seed)
     truth = _target_mask(kind, h, w, rng).astype(np.int64)
     background = 0.05 + 0.3 * rng.random((1, h, w))
@@ -160,6 +164,7 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one seed")
         if self.base_seed < 0:
             raise ConfigurationError(f"base seed must be >= 0, got {self.base_seed}")
+        _check_scene(self.target_kind, self.size)
 
 
 _SPEC_REQUIRED = ("policies", "k_values", "perturbations", "seeds")
@@ -190,7 +195,7 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
         scalars = dict(k_values=[parse_int(k, "k_values") for k in d["k_values"]],
                        seeds=parse_int(d["seeds"], "seeds"), size=parse_int(d.get("size", 128), "size"),
                        base_seed=parse_int(d.get("base_seed", 0), "base_seed"),
-                       target_kind=str(d.get("target_kind", "ellipse")))
+                       target_kind=d.get("target_kind", "ellipse"))
     except KeyError as exc:
         raise ConfigurationError(f"sweep spec record is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -224,19 +229,18 @@ def _retention_densities(pruned, used: np.ndarray, original: np.ndarray):
     return density(used), density(~used), density(original)
 
 
-SWEEP_CELLS = 16  # cells per run_pipeline call and in memory at once: 2 policies of 8 regions
-
-
-def _cell_row(cell, box: BoxPrompt, result, scene: Scene, seed: int, in_box) -> dict:
-    """A cell's CSV row from its (tokens, bundles, report) or exception; ``in_box`` masks a box."""
+def _cell_row(cell, box: BoxPrompt, prefix, base: PipelineConfig, scene: Scene, in_box) -> dict:
+    """A cell's CSV row: its run on ``prefix`` under ``base`` with the cell's policy and k, or the
+    error of that run or of the prefix; ``in_box`` masks a box."""
     policy, k, pert = cell
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(policy_mode=policy.mode, policy_value=repr(policy.value), k=k,
-               perturbation=pert.kind, magnitude=repr(pert.magnitude), seed=seed)
+               perturbation=pert.kind, magnitude=repr(pert.magnitude), seed=base.seed)
     try:
-        if isinstance(result, Exception):
-            raise result
-        pruned, _, report = result
+        if isinstance(prefix, Exception):
+            raise prefix
+        cfg = replace(base, policy=policy, roi_k=int(k))  # a bad k fails here
+        pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix, stop_at_last_stage=True)
         in_d, out_d, orig_d = _retention_densities(pruned, in_box(box), in_box(scene.tight_box))
         row.update({
             "Z": report.tokens_full,
@@ -262,45 +266,32 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     byte for byte. Failures of individual cells are recorded in the
     ``error`` column and the sweep continues. Each scene seed's scene,
     weights and encoded prefix are computed once, and so are each
-    perturbation's box and each box's in-box tokens; its cells then run
-    ``SWEEP_CELLS`` at a time as list-form :func:`run_pipeline` calls, which
-    score each (k, perturbation) region once for all of a call's policies
-    and run no block after the last stage, since a row reads no token
-    value. A prefix failure is recorded in every cell of that seed.
-    Rows are written policy, then k, then perturbation, then seed.
+    perturbation's box and each box's in-box tokens. Each cell is one
+    :func:`run_pipeline` call on the prefix that runs no block after the
+    last stage, since a row reads no token value. Cells run region by
+    region, (k, perturbation), so the prefix scores each region once for
+    all its policies, and memory holds one cell's result at a time. A
+    prefix failure is recorded in every cell of that seed. Rows are written
+    policy, then k, then perturbation, then seed.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
+    regions = len(spec.k_values) * len(spec.perturbations)
     rows = [[None] * spec.seeds for _ in cells]
     grid = spec.size // spec.pipeline.patch_size  # positive wherever a prefix encodes
     for s in range(spec.seeds):
-        scene_seed = spec.base_seed ^ s
-        scene = generate_scene(spec.target_kind, spec.size, scene_seed)
+        base = replace(spec.pipeline, seed=spec.base_seed ^ s)
+        scene = generate_scene(spec.target_kind, spec.size, base.seed)
         try:
-            prefix = encode_prefix(scene.image, replace(spec.pipeline, seed=scene_seed))
+            prefix = encode_prefix(scene.image, base)
         except Exception as exc:  # recorded in every cell of this seed
             prefix = exc
         # every cell reseeds the rng, so its box depends on its perturbation alone
-        perturbed = {pert: perturb_prompt(scene.tight_box, pert, make_rng(scene_seed ^ 0x5EED))
+        perturbed = {pert: perturb_prompt(scene.tight_box, pert, make_rng(base.seed ^ 0x5EED))
                      for pert in spec.perturbations}
-        boxes = [perturbed[pert] for _, _, pert in cells]
         in_box = functools.cache(lambda bx: token_in_box_mask(grid, grid, map_box_to_grid(bx, grid, grid)))
-        results = {}  # cell index: the prefix error, or its config (or error), then its result
-        for i, (policy, k, _) in enumerate(cells):
-            try:  # a bad k fails here, in the cell's own config
-                results[i] = prefix if isinstance(prefix, Exception) else replace(
-                    spec.pipeline, policy=policy, roi_k=int(k), seed=scene_seed)
-            except Exception as exc:
-                results[i] = exc
-        for start in range(0, len(cells), SWEEP_CELLS):
-            chunk = range(start, min(start + SWEEP_CELLS, len(cells)))
-            ok = [i for i in chunk if isinstance(results[i], PipelineConfig)]
-            if ok:
-                results.update(zip(ok, run_pipeline(scene.image, [boxes[i] for i in ok],
-                                                    [results[i] for i in ok], prefix=prefix,
-                                                    stop_at_last_stage=True)))
-            for i in chunk:  # a row drops its cell's tokens and bundles
-                rows[i][s] = _cell_row(cells[i], boxes[i], results.pop(i), scene, scene_seed, in_box)
+        for i in sorted(range(len(cells)), key=lambda i: i % regions):
+            rows[i][s] = _cell_row(cells[i], perturbed[cells[i][2]], prefix, base, scene, in_box)
     rows = [row for per_seed in rows for row in per_seed]
 
     csv_path = os.path.join(out_dir, "sweep.csv")

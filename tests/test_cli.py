@@ -224,6 +224,9 @@ class TestErrors:
         (["sweep"], {"policies": [{"mode": "percentile", "value": True}]}),
         (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": math.inf}]}),
         (["sweep"], {"perturbations": [{"kind": "oversized", "magnitude": "0.5"}]}),
+        (["sweep"], {"size": 8}),
+        (["sweep"], {"target_kind": "circle"}),
+        (["sweep"], {"target_kind": 7}),
         (["prune", "--image"], (0, 16, 16)),
         (["prune", "--image"], (1, 0, 16)),
         (["prune", "--image"], (1, 16, 0)),
@@ -236,7 +239,8 @@ class TestErrors:
             "box-bool-coordinates", "box-numeric-text-coordinate", "box-unknown-field",
             "config-bool-ln-eps", "config-text-ln-eps", "config-infinite-ln-eps",
             "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
-            "spec-infinite-magnitude", "spec-text-magnitude", "image-0x16x16", "image-1x0x16",
+            "spec-infinite-magnitude", "spec-text-magnitude", "spec-size-8", "spec-unknown-kind",
+            "spec-int-kind", "image-0x16x16", "image-1x0x16",
             "image-1x16x0", "flag-huge-roi-k", "config-huge-sampling-ratio", "config-int-proj-tied"])
     def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
         if argv[1:] == ["--image"]:  # spec is the shape an image file declares, with no values
@@ -264,6 +268,7 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("prato: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # a refused command writes nothing
 
     @pytest.mark.parametrize("flag", ["--config", "--box", "--spec"])
     @pytest.mark.parametrize("text", ["{", "\xff"], ids=["truncated", "not-utf8"])

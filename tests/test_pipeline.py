@@ -182,8 +182,6 @@ class TestRunPipeline:
             encode_prefix(img, cfg)
         with pytest.raises(ShapeError, match="no size 0"):
             run_pipeline(img, _mid_box(), cfg)
-        with pytest.raises(ShapeError, match="no size 0"):
-            run_pipeline(img, [_mid_box()] * 2, [cfg] * 2)
 
     def test_cost_report_json_fields(self):
         scene = generate_scene("ellipse", 64, seed=7)
@@ -493,7 +491,10 @@ class TestPrefixReuse:
 
     def test_prefix_of_other_image_rejected(self):
         cfg = PipelineConfig(depth=2, seed=0)
-        prefix = encode_prefix(generate_scene("ellipse", 64, seed=0).image, cfg)
+        scene = generate_scene("ellipse", 64, seed=0)
+        prefix = encode_prefix(scene.image, cfg)
+        _assert_same_run(run_pipeline(scene.image.copy(), _mid_box(), cfg, prefix=prefix),
+                         run_pipeline(scene.image, _mid_box(), cfg))  # an equal copy is accepted
         other = generate_scene("ellipse", 64, seed=1)
         with pytest.raises(ConfigurationError, match="different image"):
             run_pipeline(other.image, other.tight_box, cfg, prefix=prefix)
@@ -812,17 +813,29 @@ def _run_alone(img, box, cfg, **kwargs):
         return exc
 
 
-def _scored_regions(img, boxes, cfgs) -> int:
-    """Distinct first-stage regions (box, roi_k, sampling_ratio) that do not degenerate."""
+def _run_on(prefix, img, boxes, cfgs, **kwargs):
+    """Each prompt's run on ``prefix``, one call each in order, or its exception."""
+    return [_run_alone(img, box, cfg, prefix=prefix, **kwargs) for box, cfg in zip(boxes, cfgs)]
+
+
+def _first_stage_pools(img, boxes, cfgs) -> int:
+    """First-stage pools of these runs in order on one prefix: a region (box, roi_k,
+    sampling_ratio) that does not degenerate pools unless it is the last one pooled."""
     grid_h, grid_w = (n // cfgs[0].patch_size for n in img.shape[1:])
-    regions = set()
+    pools, last = 0, None
     for box, cfg in zip(boxes, cfgs):
         try:
             map_box_to_grid(box, grid_h, grid_w)
         except DegeneratePromptError:
             continue
-        regions.add((box, cfg.roi_k, cfg.sampling_ratio))
-    return len(regions)
+        region = (box, cfg.roi_k, cfg.sampling_ratio)
+        pools, last = pools + (region != last), region
+    return pools
+
+
+def _first_stage_arrays(run):
+    bundle = run[1][0]
+    return bundle.similarity, bundle.entropies, bundle.weights, bundle.relevance
 
 
 class _CountRoiAlign:
@@ -843,7 +856,7 @@ class _CountRoiAlign:
 
 
 def _assert_same_entry(got, want):
-    """A list-form entry is its single-prompt run: the same arrays, report, or exception."""
+    """A run on a shared prefix is its lone run: the same arrays, report, or exception."""
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
     else:
@@ -852,17 +865,17 @@ def _assert_same_entry(got, want):
 
 
 def _stopped_entry(img, box, cfg, full):
-    """A full run's entry as a run stopped at its last stage returns it: the tokens are the
-    rows that stage kept, in the entry's mask mode; an exception stays as it is."""
+    """A full run's result as a run stopped at its last stage returns it: the tokens are the
+    rows that stage kept, in the run's mask mode; an exception stays as it is."""
     if isinstance(full, Exception):
         return full
     return (_in_mode(full[0], _plain_loop(img, box, cfg)[-1]), *full[1:])
 
 
-class TestManyPrompts:
+class TestPromptsOnOnePrefix:
     @settings(max_examples=80, deadline=None)
-    @given(_prompt_mixes(), st.sampled_from([1, 2]), st.booleans())
-    def test_each_entry_equals_its_single_prompt_run(self, case, cores, given_prefix):
+    @given(_prompt_mixes(), st.sampled_from([1, 2]))
+    def test_each_run_on_a_shared_prefix_equals_its_lone_run(self, case, cores):
         img, boxes, cfgs = case
         saved = numerics._CORES
         try:
@@ -870,19 +883,21 @@ class TestManyPrompts:
             with _CountRoiAlign() as lone:
                 alone = [_run_alone(img, box, cfg) for box, cfg in zip(boxes, cfgs)]
             numerics._CORES = cores
-            prefix = encode_prefix(img, cfgs[-1]) if given_prefix else None
+            prefix = encode_prefix(img, cfgs[-1])
             with _CountRoiAlign() as shared:
-                together = run_pipeline(img, boxes, cfgs, prefix=prefix)
+                together = _run_on(prefix, img, boxes, cfgs)
         finally:
             numerics._CORES = saved
-        assert len(together) == len(alone)
-        for got, want in zip(together, alone):
+        for got, want in zip(together, alone, strict=True):
             _assert_same_entry(got, want)
-        # each lone run pools its first-stage region, if it does not degenerate; together,
-        # each distinct region is pooled once, and later stages pool as they do alone
+            if not isinstance(want, Exception):  # first-stage arrays are read-only on a prefix
+                assert not any(a.flags.writeable for a in _first_stage_arrays(got))
+                assert all(a.flags.writeable for a in _first_stage_arrays(want))
+        # each lone run pools its first-stage region, if it does not degenerate; on the prefix a
+        # region pools again only after another one, and later stages pool as they do alone
         degenerate = sum(isinstance(r, DegeneratePromptError) for r in alone)
         assert shared.calls == lone.calls - (len(alone) - degenerate) \
-            + _scored_regions(img, boxes, cfgs)
+            + _first_stage_pools(img, boxes, cfgs)
 
     def test_each_live_prompt_runs_each_later_block_on_its_own_tokens(self, monkeypatch):
         scene = generate_scene("ellipse", 128, seed=3)
@@ -897,15 +912,14 @@ class TestManyPrompts:
 
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
         prefix = encode_prefix(scene.image, cfg)
-        results = run_pipeline(scene.image, [scene.tight_box] * 5, cfgs, prefix=prefix)
-        # Z = 64: 48 kept at q25, 32 at q50 and 1 at q99; one call per prompt and block, and
-        # each prompt runs blocks 2 and 3 before the next prompt starts
+        results = _run_on(prefix, scene.image, [scene.tight_box] * 5, cfgs)
+        # Z = 64: 48 kept at q25, 32 at q50 and 1 at q99; one call per prompt and block
         assert calls == [64] * 2 + [48, 48, 32, 32, 48, 48, 1, 1, 1, 1]
         monkeypatch.undo()
         for got, c in zip(results, cfgs):
             _assert_same_entry(got, _run_alone(scene.image, scene.tight_box, c))
 
-    def test_a_first_stage_region_is_scored_once_for_all_its_prompts(self):
+    def test_consecutive_runs_on_one_region_pool_it_once(self):
         scene = generate_scene("ellipse", 128, seed=3)
         base = PipelineConfig(depth=4, stage_indices=(1,), seed=3)
         tight = scene.tight_box
@@ -925,15 +939,16 @@ class TestManyPrompts:
         ]
         boxes = [box for box, _ in prompts]
         cfgs = [replace(base, **change) for _, change in prompts]
+        prefix = encode_prefix(scene.image, base)
         with _CountRoiAlign() as count:
-            together = run_pipeline(scene.image, boxes, cfgs)
+            together = _run_on(prefix, scene.image, boxes, cfgs)
         assert count.calls == 4 + 2
         alone = [_run_alone(scene.image, box, cfg) for box, cfg in zip(boxes, cfgs)]
         assert [type(r).__name__ for r in alone] == ["tuple"] * 2 + ["EmptyRetentionError"] \
             + ["tuple"] * 4 + ["DegeneratePromptError"] * 2
         for got, want in zip(together, alone):
             _assert_same_entry(got, want)
-        # entries of one region share its arrays read-only, so no entry can write another's
+        # runs of one region share its arrays read-only, so no run can write another's
         ran = [r for r in together if not isinstance(r, Exception)]
         shared = 0
         for name in ("similarity", "entropies", "weights", "relevance"):
@@ -943,19 +958,113 @@ class TestManyPrompts:
                     if np.shares_memory(a, b):
                         shared += 1
                         assert not a.flags.writeable and not b.flags.writeable, name
-        assert shared == 4 * 2  # tight k=5 ratio 2 in entries 0 and 1, wide in 5 and 6
+        assert shared == 4 * 2  # tight k=5 ratio 2 in runs 0 and 1, wide in 5 and 6
         with pytest.raises(ValueError, match="read-only"):
             together[0][1][0].relevance[:] = 0.0
-        _assert_same_entry(together[1], alone[1])
-        assert together[3][1][0].relevance.flags.writeable  # a region scored once stays writable
+        assert together[1][1][1].relevance.flags.writeable  # a later stage's arrays are the run's
+        # the prefix keeps a bundle of its own: a run may rebind its fields and write its mask
+        first = together[5][1][0]
+        first.mask[:] = 0
+        first.relevance = np.zeros_like(first.relevance)
+        with _CountRoiAlign() as count:
+            again = run_pipeline(scene.image, wide, cfgs[6], prefix=prefix)
+        assert count.calls == 0
+        _assert_same_entry(again, alone[6])
+
+    def test_another_region_evicts_the_prefix_scoring(self):
+        scene = generate_scene("ellipse", 128, seed=3)
+        cfg = PipelineConfig(depth=4, seed=3)
+        tight = scene.tight_box
+        wide = perturb_prompt(tight, PromptPerturbation("oversized", 0.5), make_rng(0))
+        q50 = ThresholdPolicy("percentile", 50.0)
+        steps = [  # (box, config, first-stage pools)
+            (tight, cfg, 1),
+            (tight, replace(cfg, policy=q50), 0),
+            (wide, cfg, 1),
+            (tight, cfg, 1),
+            (tight, replace(cfg, roi_k=3), 1),
+            (tight, replace(cfg, sampling_ratio=1), 1),
+            (tight, replace(cfg, sampling_ratio=1, policy=q50, mask_mode="zero"), 0),
+            (BoxPrompt(0.2, 0.2, 0.2 + 1e-12, 0.6), cfg, 0),  # degenerate: the entry stays
+            (tight, replace(cfg, sampling_ratio=1, policy=ThresholdPolicy("fixed", 0.999999)), 0),
+            (tight, replace(cfg, policy=ThresholdPolicy("fixed", 0.999999)), 1),  # keeps nothing
+            (tight, cfg, 0),
+        ]
+        prefix, last = encode_prefix(scene.image, cfg), None
+        for box, c, pools in steps:
+            with _CountRoiAlign() as count:
+                got = _run_alone(scene.image, box, c, prefix=prefix)
+            assert count.calls == pools
+            if not isinstance(got, DegeneratePromptError):
+                last = (box, c.roi_k, c.sampling_ratio)
+            assert list(prefix.scored) == [last]  # one entry, the last region scored
+            _assert_same_entry(got, _run_alone(scene.image, box, c))
+
+    def test_first_stage_arrays_are_read_only_only_on_a_passed_prefix(self):
+        scene = generate_scene("ellipse", 64, seed=0)
+        cfg = PipelineConfig(depth=3, stage_indices=(0, 1), seed=0)
+        runs = {
+            "fresh": (run_pipeline(scene.image, scene.tight_box, cfg), True),
+            "weights": (run_pipeline(scene.image, scene.tight_box, cfg,
+                                     build_pipeline_weights(cfg, 1, 4, 4)), True),
+            "prefix": (run_pipeline(scene.image, scene.tight_box, cfg,
+                                    prefix=encode_prefix(scene.image, cfg)), False),
+        }
+        for name, (run, writeable) in runs.items():
+            first, later = run[1]
+            assert [a.flags.writeable for a in _first_stage_arrays(run)] == [writeable] * 4, name
+            assert first.mask.flags.writeable and later.relevance.flags.writeable, name
+            assert run[0].tokens.flags.writeable and run[0].retained_coords.flags.writeable, name
+
+    def test_threads_sharing_a_prefix_get_their_lone_runs(self):
+        scene = generate_scene("ellipse", 64, seed=2)
+        cfg = PipelineConfig(depth=3, seed=2)
+        wide = perturb_prompt(scene.tight_box, PromptPerturbation("oversized", 0.5), make_rng(0))
+        prompts = [(box, replace(cfg, policy=ThresholdPolicy("percentile", q)))
+                   for box in (scene.tight_box, wide) for q in (25.0, 50.0)]
+        alone = [_run_alone(scene.image, box, c) for box, c in prompts]
+        prefix, barrier, got = encode_prefix(scene.image, cfg), threading.Barrier(4), {}
+
+        def worker(t):
+            barrier.wait()
+            for r in range(20):  # regions alternate, so each thread keeps evicting the others'
+                i = (t + r) % len(prompts)
+                got[t, r] = i, _run_alone(scene.image, *prompts[i], prefix=prefix)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 4 * 20
+        for i, run in got.values():
+            _assert_same_entry(run, alone[i])
+
+    def test_a_later_block_that_raises_fails_only_its_run(self, monkeypatch):
+        scene = generate_scene("blob", 128, seed=4)
+        cfg = PipelineConfig(depth=4, seed=4)
+        cfgs = [replace(cfg, policy=ThresholdPolicy("percentile", q)) for q in (25.0, 50.0, 25.0)]
+        real = pipeline.encode_tokens
+
+        def flaky(x, w, residual="block", ln_eps=1e-6):
+            if len(x) == 32:  # the q50 prompt's 32 live tokens fail; the q25 prompts keep 48
+                raise ValidationError("tokens contains non-finite entries")
+            return real(x, w, residual, ln_eps)
+
+        monkeypatch.setattr(pipeline, "encode_tokens", flaky)
+        prefix = encode_prefix(scene.image, cfg)
+        results = _run_on(prefix, scene.image, [scene.tight_box] * 3, cfgs)
+        alone = [_run_alone(scene.image, scene.tight_box, c) for c in cfgs]
+        assert [type(r) for r in alone] == [tuple, ValidationError, tuple]
+        for got, want in zip(results, alone):
+            _assert_same_entry(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(_prompt_mixes(), st.booleans())
-    def test_stopping_at_the_last_stage_changes_only_the_tokens(self, case, given_prefix):
+    @given(_prompt_mixes())
+    def test_stopping_at_the_last_stage_changes_only_the_tokens(self, case):
         img, boxes, cfgs = case
-        full = run_pipeline(img, boxes, cfgs)
-        prefix = encode_prefix(img, cfgs[-1]) if given_prefix else None
-        stopped = run_pipeline(img, boxes, cfgs, prefix=prefix, stop_at_last_stage=True)
+        full = [_run_alone(img, box, cfg) for box, cfg in zip(boxes, cfgs)]
+        stopped = _run_on(encode_prefix(img, cfgs[-1]), img, boxes, cfgs, stop_at_last_stage=True)
         for box, cfg, got, want in zip(boxes, cfgs, stopped, full, strict=True):
             want = _stopped_entry(img, box, cfg, want)
             _assert_same_entry(got, want)
@@ -983,7 +1092,8 @@ class TestManyPrompts:
             return real(x, w, residual, ln_eps)
 
         monkeypatch.setattr(pipeline, "encode_tokens", spy)
-        stopped = run_pipeline(scene.image, boxes, cfgs, stop_at_last_stage=True)
+        stopped = _run_on(encode_prefix(scene.image, base), scene.image, boxes, cfgs,
+                          stop_at_last_stage=True)
         # prompt 0 stops after block 0, the prefix; prompt 1 (32 kept, then 16) stops after
         # block 2, prompt 2 after block 1, and prompt 3 runs blocks 1-3; 4 and 5 fail at block 0
         assert calls == [64, 32, 32, 48, 48, 48, 48]
@@ -991,7 +1101,7 @@ class TestManyPrompts:
         single = run_pipeline(scene.image, boxes[1], cfgs[1], stop_at_last_stage=True)
         assert calls == [64, 32, 32]
         monkeypatch.undo()
-        full = run_pipeline(scene.image, boxes, cfgs)
+        full = [_run_alone(scene.image, box, cfg) for box, cfg in zip(boxes, cfgs)]
         assert [type(r).__name__ for r in full] == ["tuple"] * 4 + ["EmptyRetentionError",
                                                                     "DegeneratePromptError"]
         assert full[1][2].tokens_retained == [32, 16]
@@ -999,48 +1109,12 @@ class TestManyPrompts:
             _assert_same_entry(got, _stopped_entry(scene.image, box, cfg, want))
         _assert_same_entry(single, _stopped_entry(scene.image, boxes[1], cfgs[1], full[1]))
 
-    def test_a_later_block_that_raises_fails_only_its_prompt(self, monkeypatch):
-        scene = generate_scene("blob", 128, seed=4)
-        cfg = PipelineConfig(depth=4, seed=4)
-        cfgs = [replace(cfg, policy=ThresholdPolicy("percentile", q)) for q in (25.0, 50.0, 25.0)]
-        real = pipeline.encode_tokens
-
-        def flaky(x, w, residual="block", ln_eps=1e-6):
-            if len(x) == 32:  # the q50 prompt's 32 live tokens fail; the q25 prompts keep 48
-                raise ValidationError("tokens contains non-finite entries")
-            return real(x, w, residual, ln_eps)
-
-        monkeypatch.setattr(pipeline, "encode_tokens", flaky)
-        results = run_pipeline(scene.image, [scene.tight_box] * 3, cfgs)
-        alone = [_run_alone(scene.image, scene.tight_box, c) for c in cfgs]
-        assert [type(r) for r in alone] == [tuple, ValidationError, tuple]
-        for got, want in zip(results, alone):
-            _assert_same_entry(got, want)
-
-    def test_single_prompt_raises_what_its_entry_holds(self):
-        scene = generate_scene("ellipse", 64, seed=0)
-        cfg = PipelineConfig(depth=2, seed=0, policy=ThresholdPolicy("fixed", 0.999999))
-        (entry,) = run_pipeline(scene.image, [scene.tight_box], [cfg])
-        assert isinstance(entry, EmptyRetentionError)
-        with pytest.raises(EmptyRetentionError, match=str(entry)):
-            run_pipeline(scene.image, scene.tight_box, cfg)
-
-    @pytest.mark.parametrize("boxes, cfgs", [
-        ([_mid_box()] * 2, [PipelineConfig(depth=2)]),
-        ([], []),
-        ([_mid_box()], PipelineConfig(depth=2)),
-        (_mid_box(), [PipelineConfig(depth=2)]),
-    ])
-    def test_unpaired_lists_rejected(self, boxes, cfgs):
-        scene = generate_scene("ellipse", 64, seed=0)
-        with pytest.raises(ShapeError, match="lists of equal length"):
-            run_pipeline(scene.image, boxes, cfgs)
-
-    @pytest.mark.parametrize("given_prefix", [False, True])
-    def test_config_under_other_prefix_key_rejected(self, given_prefix):
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_config_under_other_prefix_key_rejected(self, scored):
         scene = generate_scene("ellipse", 64, seed=0)
         cfg = PipelineConfig(depth=4, seed=0)
-        prefix = encode_prefix(scene.image, cfg) if given_prefix else None
+        prefix = encode_prefix(scene.image, cfg)
+        if scored:  # a prefix that holds the region's scoring still checks the key
+            run_pipeline(scene.image, _mid_box(), cfg, prefix=prefix)
         with pytest.raises(ConfigurationError, match="different key: first_stage 1 != 2"):
-            run_pipeline(scene.image, [_mid_box()] * 2, [cfg, replace(cfg, stage_indices=(2,))],
-                         prefix=prefix)
+            run_pipeline(scene.image, _mid_box(), replace(cfg, stage_indices=(2,)), prefix=prefix)

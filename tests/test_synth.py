@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,10 @@ class TestRunSweep:
          "magnitude must be a finite number, got '0.5'"),
         ({"perturbations": [{"kind": "partial", "magnitude": False}]},
          "magnitude must be a finite number, got False"),
+        ({"size": 8}, r"scene size 8 must lie in \[16, 4096\]"),
+        ({"size": 4097}, r"scene size 4097 must lie in \[16, 4096\]"),
+        ({"target_kind": "circle"}, "unknown target kind 'circle'"),
+        ({"target_kind": 7}, "unknown target kind 7"),
     ])
     def test_spec_from_dict_rejects(self, change, message):
         spec = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
@@ -430,20 +435,29 @@ class TestSweepPrefixReuse:
         assert summary["failed_rows"] > 0
         assert (tmp_path / "sweep.csv").read_bytes() == _reference_sweep_csv(spec)
 
-    @pytest.mark.parametrize("per_call", [1, 3])
-    def test_bytes_equal_for_any_cells_per_call(self, tmp_path, monkeypatch, per_call):
-        spec = _small_spec(**_FAILING_SPECS["cell"])  # 8 cells a seed, some failing
-        run_sweep(spec, tmp_path / "one_call")
-        monkeypatch.setattr(prato.synth, "SWEEP_CELLS", per_call)
-        run_sweep(spec, tmp_path / "chunked")
-        for name in ("sweep.csv", "summary.json"):
-            assert (tmp_path / "chunked" / name).read_bytes() == \
-                (tmp_path / "one_call" / name).read_bytes()
+    @pytest.mark.parametrize("failing", ["cell", "stages"])
+    def test_bytes_equal_when_the_prefix_keeps_no_scoring(self, tmp_path, monkeypatch, failing):
+        spec = _small_spec(**_FAILING_SPECS[failing])  # some cells failing
+        run_sweep(spec, tmp_path / "kept")
+        real = prato.synth.encode_prefix
 
-    @pytest.mark.parametrize("per_call", [prato.synth.SWEEP_CELLS, 3])
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        def forgetful(*args, **kwargs):  # every cell pools and scores its own region
+            prefix = real(*args, **kwargs)
+            object.__setattr__(prefix, "scored", Forgetful())
+            return prefix
+
+        monkeypatch.setattr(prato.synth, "encode_prefix", forgetful)
+        run_sweep(spec, tmp_path / "forgot")
+        for name in ("sweep.csv", "summary.json"):
+            assert (tmp_path / "forgot" / name).read_bytes() == \
+                (tmp_path / "kept" / name).read_bytes()
+
     @pytest.mark.parametrize("failing", sorted(_FAILING_SPECS))
-    def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing, per_call):
-        monkeypatch.setattr(prato.synth, "SWEEP_CELLS", per_call)
+    def test_shared_work_runs_once_per_seed(self, tmp_path, monkeypatch, failing):
         calls, built, results, block_rows = {}, [], [], {}
 
         def counting(module, name, seen=None):
@@ -464,12 +478,14 @@ class TestSweepPrefixReuse:
 
         counting(prato.synth, "generate_scene")
         counting(prato.synth, "encode_prefix")
-        counting(prato.synth, "run_pipeline", lambda args, out: results.append(out))
+        counting(prato.synth, "run_pipeline", lambda args, out: results.append((len(built) - 1, out)))
         counting(prato.pipeline, "build_pipeline_weights", lambda args, out: built.append(out))
         counting(prato.pipeline, "encode_tokens", block_of)
+        counting(prato.pipeline, "roi_align")
         spec = _small_spec(**_FAILING_SPECS[failing])
         summary = run_sweep(spec, tmp_path)
         n_cells = len(spec.policies) * len(spec.k_values) * len(spec.perturbations)
+        regions = len(spec.k_values) * len(spec.perturbations)
         cfg = spec.pipeline
         assert calls["generate_scene"] == spec.seeds
         assert calls["encode_prefix"] == spec.seeds
@@ -477,20 +493,20 @@ class TestSweepPrefixReuse:
             assert "run_pipeline" not in calls and "build_pipeline_weights" not in calls
             return
         assert calls["build_pipeline_weights"] == spec.seeds
-        # per seed, one run_pipeline call per SWEEP_CELLS cells, holding those cells
-        chunks = [min(per_call, n_cells - i) for i in range(0, n_cells, per_call)]
-        assert calls["run_pipeline"] == spec.seeds * len(chunks)
-        assert [len(out) for out in results] == chunks * spec.seeds
+        # per seed, one run_pipeline call per cell
+        assert calls["run_pipeline"] == spec.seeds * n_cells
+        assert len(results) == summary["total_rows"] - summary["failed_rows"]
+        # cells run region by region, so each region pools once per seed at the first stage;
+        # the failing cells keep no token there, and each ok cell pools at each later stage
+        assert calls["roi_align"] == spec.seeds * regions + len(results) * (len(cfg.stage_indices) - 1)
         first = cfg.stage_indices[0]
-        ok = [[r for r in out if not isinstance(r, Exception)] for out in results]
-        assert sum(map(len, ok)) == summary["total_rows"] - summary["failed_rows"]
         for s in range(spec.seeds):
-            per_seed = ok[s * len(chunks):(s + 1) * len(chunks)]
-            z = per_seed[0][0][2].tokens_full
+            per_seed = [out for seed, out in results if seed == s]
+            z = per_seed[0][2].tokens_full
             # the prefix blocks run once per seed
             for b in range(first + 1):
                 assert block_rows[s, b] == [z]
-            # a block up to the last stage runs once per ok cell, in cell order, on that cell's
+            # a block up to the last stage runs once per ok cell, in run order, on that cell's
             # live tokens; the failing cells stop at the first stage, and no block after the
             # last stage runs, since no row reads a token
             for b in range(first + 1, cfg.depth):
@@ -498,6 +514,41 @@ class TestSweepPrefixReuse:
                     assert (s, b) not in block_rows
                     continue
                 last = max(i for i, stage in enumerate(cfg.stage_indices) if stage < b)
-                live = [[report.tokens_retained[last] for _, _, report in out] for out in per_seed]
-                assert block_rows[s, b] == [n for counts in live for n in counts]
+                assert block_rows[s, b] == [report.tokens_retained[last] for _, _, report in per_seed]
         assert calls["encode_tokens"] == sum(map(len, block_rows.values()))
+
+
+_PERTURBATIONS = [PromptPerturbation("tight"), PromptPerturbation("oversized", 0.5),
+                  PromptPerturbation("partial", 0.5), PromptPerturbation("misleading")]
+
+
+def _cells_spec(n_policies, **overrides):
+    """``n_policies`` x 2 k x 4 perturbations: 8 regions, whatever the cell count."""
+    return _small_spec(policies=[ThresholdPolicy("percentile", 10.0 * (q + 1)) for q in range(n_policies)],
+                       k_values=[3, 5], perturbations=_PERTURBATIONS, **overrides)
+
+
+class TestSweepScale:
+    def test_a_64_cell_sweep_pools_each_region_once_per_seed(self, tmp_path, monkeypatch):
+        spec = _cells_spec(8, seeds=2)
+        pools, real = [], prato.pipeline.roi_align
+        monkeypatch.setattr(prato.pipeline, "roi_align", lambda *a, **kw: pools.append(1) or real(*a, **kw))
+        summary = run_sweep(spec, tmp_path)
+        assert summary["total_rows"] == 64 * 2 and summary["failed_rows"] == 0
+        assert len(pools) == 8 * 2  # one stage: each of the 8 regions once per seed
+        monkeypatch.undo()
+        assert (tmp_path / "sweep.csv").read_bytes() == _reference_sweep_csv(spec)
+
+    def test_peak_memory_does_not_grow_with_the_cell_count(self, tmp_path):
+        # At 256x256 and Z = 256 a cell's result holds about 0.1 MiB: 48 more results in flight
+        # would add about 5 MiB to a peak of about 4.5 MiB. The slack covers the 48 more rows.
+        peaks = {}
+        for n_policies in (2, 8):  # 16 and 64 cells
+            spec = _cells_spec(n_policies, seeds=1, size=256)
+            tracemalloc.start()
+            try:
+                run_sweep(spec, tmp_path / str(n_policies))
+                peaks[n_policies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.05 * peaks[2], peaks
