@@ -6,9 +6,11 @@ Subcommands:
   sweep  run a sweep spec and write CSV / JSON summaries
   check  run the built-in oracle and property suites
 
-A JSON config file supplies pipeline fields; the PRATO_SEED environment
-variable overrides the configured seed everywhere. Library errors and
-file errors print one line, ``prato: error: <message>``, and exit 2.
+A JSON config file supplies pipeline fields. ``prune``'s flags and the
+PRATO_SEED environment variable are fields too: they replace the file's
+before any field is checked, and PRATO_SEED overrides the seed everywhere.
+Library errors and file errors print one line, ``prato: error: <message>``,
+and exit 2.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import replace
 
 from .errors import ConfigurationError, PratoError
 from .numerics import load_json, open_new
-from .pipeline import PipelineConfig, config_from_dict, run_pipeline
-from .prune import ThresholdPolicy
+from .pipeline import config_from_dict, run_pipeline
 from .roi import load_box
 from .synth import TARGET_KINDS, generate_scene, run_sweep, save_scene, sweep_spec_from_dict
 from .tokens import load_image, load_plane_csv
@@ -39,43 +40,16 @@ def _seed(text, name: str = "seed") -> int:
     return seed
 
 
-def _env_seed():
+def _env_seed(default):
+    """PRATO_SEED if it is set, else ``default``."""
     text = os.environ.get("PRATO_SEED")
-    return None if text is None else _seed(text, "PRATO_SEED")
-
-
-def _load_config(path) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return config_from_dict(load_json(path))
-
-
-def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    kwargs = {}
-    if getattr(args, "patch_size", None) is not None:
-        kwargs["patch_size"] = args.patch_size
-    if getattr(args, "roi_k", None) is not None:
-        kwargs["roi_k"] = args.roi_k
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    mode = getattr(args, "tau_mode", None)
-    value = getattr(args, "tau_value", None)
-    if mode is not None or value is not None:
-        kwargs["policy"] = ThresholdPolicy(
-            mode or cfg.policy.mode,
-            value if value is not None else cfg.policy.value,
-        )
-    env_seed = _env_seed()
-    if env_seed is not None:
-        kwargs["seed"] = env_seed
-    return replace(cfg, **kwargs) if kwargs else cfg
+    return default if text is None else _seed(text, "PRATO_SEED")
 
 
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ConfigurationError(f"--count must be >= 1, got {args.count}")
-    env_seed = _env_seed()
-    seed = args.seed if env_seed is None else env_seed
+    seed = _env_seed(args.seed)
     manifest = []
     for i in range(args.count):
         scene = generate_scene(args.kind, args.size, seed=seed + i)
@@ -87,7 +61,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    flags = dict(patch_size=args.patch_size, roi_k=args.roi_k, tau_mode=args.tau_mode,
+                 tau_value=args.tau_value, seed=_env_seed(args.seed))
+    record = {} if args.config is None else load_json(args.config)
+    cfg = config_from_dict(record, **{name: value for name, value in flags.items() if value is not None})
     if args.image.endswith(".csv"):
         image = load_plane_csv(args.image)
     else:
@@ -100,9 +77,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = sweep_spec_from_dict(load_json(args.spec))
-    env_seed = _env_seed()
-    if env_seed is not None:
-        spec = replace(spec, base_seed=env_seed)
+    spec = replace(spec, base_seed=_env_seed(spec.base_seed))
     summary = run_sweep(spec, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["failed_rows"] == 0 else 1

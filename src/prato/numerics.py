@@ -1,9 +1,13 @@
-"""Dense float64 kernels and seeded randomness.
+"""Dense float64 kernels, the fan-out over cores, seeded randomness, and input parsing.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in row-major order with
 dtype float64. Every public operation validates its operands and returns
 finite output for finite input. Randomness goes through a counter-based
 Philox generator so that a seed fully determines every sample stream.
+Outside input is read here too: JSON and CSV files, and the JSON records
+(config, sweep spec, box) through :func:`parse_record`, which checks every
+record by one rule with the value parsers :func:`parse_int` and
+:func:`parse_float`.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -130,32 +132,6 @@ def open_new(path, mode: str = "w", **kw):
     return open(path, mode, **kw)
 
 
-def read_container(path, magic: bytes, n_dims: int) -> tuple[tuple, np.ndarray]:
-    """Read a binary container: ``magic``, ``n_dims`` u32 sizes, then their product of f64.
-
-    The header is read strictly and its declared payload size is checked
-    against the rest of the file before the payload is read, so every
-    malformed file raises ValidationError and no size is trusted blindly.
-    """
-    header = len(magic) + 4 * n_dims
-    with open(path, "rb") as f:
-        head = f.read(header)
-        if head[:len(magic)] != magic:
-            raise ValidationError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
-        if len(head) != header:
-            raise ValidationError(f"{path}: truncated header ({len(head)} of {header} bytes)")
-        dims = struct.unpack(f"<{n_dims}I", head[len(magic):])
-        size = 8 * math.prod(dims)
-        remaining = os.fstat(f.fileno()).st_size - header
-        if remaining != size:
-            raise ValidationError(
-                f"{path}: header declares {'x'.join(map(str, dims))} values "
-                f"({size} bytes) but {remaining} payload bytes follow"
-            )
-        data = np.frombuffer(f.read(size), dtype="<f8")
-    return dims, data
-
-
 def load_json(path):
     """Parse a JSON file; one that is not JSON in UTF-8 raises ValidationError naming it."""
     with open(path, "rb") as f:
@@ -179,6 +155,28 @@ def parse_float(value, key: str) -> float:
     if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= _F64_MAX):
         raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def parse_record(d, what: str, fields: dict, required=(), error=ConfigurationError) -> dict:
+    """The fields of the JSON object record ``d``, each value parsed by ``fields[key](value, key)``.
+
+    A record that is not an object, has a field not in ``fields`` or lacks a ``required`` one
+    raises ``error`` naming ``what``. A value its parser refuses with a ValueError (as
+    ConfigurationError and ValidationError are) or a TypeError raises ``error`` as
+    ``bad {what} value: ...``. Fields not given are left out, so the caller's defaults apply.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise error(f"unknown {what} fields: {', '.join(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise error(f"{what} is missing fields: {', '.join(missing)}")
+    try:
+        return {key: fields[key](value, key) for key, value in d.items()}
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad {what} value: {exc}") from None
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -59,7 +59,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import fan_out, parse_float, parse_int, softmax_rows
+from .numerics import fan_out, parse_float, parse_int, parse_record, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -151,30 +151,24 @@ class PipelineConfig:
         }
 
 
-# config-file keys and their parsers (value, key); tau_mode and tau_value make the policy
+# config-file fields and their parsers (value, key); tau_mode and tau_value make the policy
 _CONFIG_FIELDS = {
     **dict.fromkeys(("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
                      "sampling_ratio", "seed"), parse_int),
-    **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied"), lambda v, key: v),
-    "ln_eps": parse_float,
+    **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied", "tau_mode"), lambda v, key: v),
+    **dict.fromkeys(("ln_eps", "tau_value"), parse_float),
     "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in v),
 }
 
 
-def config_from_dict(d: dict) -> PipelineConfig:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(_CONFIG_FIELDS) - {"tau_mode", "tau_value"})
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        tau_value = parse_float(d.get("tau_value", 25.0), "tau_value")
-        policy = ThresholdPolicy(d.get("tau_mode", "percentile"), tau_value)
-        # stage_indices stays unset unless given, so the default tracks the depth
-        kwargs = {k: parse(d[k], k) for k, parse in _CONFIG_FIELDS.items() if k in d}
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from None
-    return PipelineConfig(policy=policy, **kwargs)
+def config_from_dict(d: dict, **overrides) -> PipelineConfig:
+    """A config from a JSON object of its fields; ``overrides``, fields too, replace those of ``d``
+    before any field is range-checked. Fields not given keep their defaults, and stage_indices
+    its default after the given depth."""
+    fields = parse_record(d, "config", _CONFIG_FIELDS)
+    fields.update(parse_record(overrides, "config", _CONFIG_FIELDS))
+    policy = ThresholdPolicy(fields.pop("tau_mode", "percentile"), fields.pop("tau_value", 25.0))
+    return PipelineConfig(policy=policy, **fields)
 
 
 @dataclass
@@ -436,13 +430,13 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
         raise ConfigurationError("prefix was encoded from a different image")
 
     grid_h, grid_w = (n // cfg.patch_size for n in prefix.image.shape[1:])
-    first, tokens, keep, coords, bundles = cfg.stage_indices[0], prefix.tokens, None, prefix.coords, []
+    first, tokens, coords, bundles = cfg.stage_indices[0], prefix.tokens, prefix.coords, []
     live = [len(coords)] * (first + 1)
     for b in range(first, cfg.stage_indices[-1] + 1 if stop_at_last_stage else cfg.depth):
         if b > first:  # the prefix ran block first
             live.append(len(coords))
-            tokens, keep = encode_tokens(tokens if keep is None else tokens[keep], prefix.weights.blocks[b],
-                                         residual=cfg.residual, ln_eps=cfg.ln_eps), None
+            tokens = encode_tokens(tokens, prefix.weights.blocks[b], residual=cfg.residual,
+                                   ln_eps=cfg.ln_eps)
         if b not in cfg.stage_indices:
             continue
         region, memo = (box, cfg.roi_k, cfg.sampling_ratio), given and b == first
@@ -463,11 +457,11 @@ def run_pipeline(img, box, cfg, weights: PipelineWeights = None, prefix: Encoded
         keep = bundle.mask.astype(bool)
         if not keep.any():
             raise EmptyRetentionError(f"stage after block {b} retained zero tokens")
-        coords = coords[keep]
+        tokens, coords = tokens[keep], coords[keep]
         bundles.append(bundle)
 
     z = grid_h * grid_w
-    pruned = PrunedTokens("compact", tokens if keep is None else tokens[keep], coords, grid_h, grid_w)
+    pruned = PrunedTokens("compact", tokens, coords, grid_h, grid_w)
     if cfg.mask_mode == "zero":
         pruned = replace(pruned, mode="zero", tokens=scatter_tokens(pruned))
     live += [len(coords)] * (cfg.depth - len(live))  # no block ran after the last stage

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePromptError, RangeError, ValidationError
-from .numerics import load_json, open_new, parse_float
+from .numerics import load_json, open_new, parse_float, parse_record
 from .tokens import TokenGrid
 
 
@@ -45,18 +45,10 @@ class BoxPrompt:
 
 def box_from_dict(d: dict) -> BoxPrompt:
     """A box from a JSON object of four numbers; any other record raises ValidationError."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"box record must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {"x1", "y1", "x2", "y2"})
-    if unknown:
-        raise ValidationError(f"unknown box record fields: {', '.join(unknown)}")
-    try:
-        coords = [parse_float(d[name], name) for name in ("x1", "y1", "x2", "y2")]
-    except KeyError as exc:
-        raise ValidationError(f"box record is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad box record value: {exc}") from None
-    return BoxPrompt(*coords)
+    names = ("x1", "y1", "x2", "y2")
+    coords = parse_record(d, "box record", dict.fromkeys(names, parse_float), required=names,
+                          error=ValidationError)
+    return BoxPrompt(**coords)
 
 
 def load_box(path) -> BoxPrompt:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import make_rng, open_new, parse_float, parse_int
+from .numerics import make_rng, open_new, parse_float, parse_int, parse_record
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -37,6 +37,8 @@ from .tokens import save_image
 TARGET_KINDS = ("ellipse", "rectangle", "blob")
 # below 15 px the widest blob draw leaves no room for its margin; one 4096^2 plane is 128 MiB
 SCENE_SIZE_MIN, SCENE_SIZE_MAX = 16, 4096
+# rows a sweep holds until it writes them, about 1 KB each (tracemalloc): about 100 MB at the bound
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass
@@ -164,48 +166,40 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one seed")
         if self.base_seed < 0:
             raise ConfigurationError(f"base seed must be >= 0, got {self.base_seed}")
+        rows = len(self.policies) * len(self.k_values) * len(self.perturbations) * self.seeds
+        if rows > MAX_SWEEP_ROWS:
+            raise ConfigurationError(f"sweep has {rows} rows (cells x seeds), more than {MAX_SWEEP_ROWS}")
         _check_scene(self.target_kind, self.size)
 
 
-_SPEC_REQUIRED = ("policies", "k_values", "perturbations", "seeds")
-_SPEC_OPTIONAL = ("size", "target_kind", "base_seed", "pipeline")
+def _policy(d) -> ThresholdPolicy:
+    fields = parse_record(d, "policy", {"mode": lambda v, key: v, "value": parse_float},
+                          required=("mode", "value"))
+    return ThresholdPolicy(**fields)
+
+
+def _perturbation(d) -> PromptPerturbation:
+    fields = parse_record(d, "perturbation", {"kind": lambda v, key: v, "magnitude": parse_float},
+                          required=("kind",))
+    default = 0.0 if fields["kind"] in ("tight", "misleading") else 0.5
+    return PromptPerturbation(fields["kind"], fields.get("magnitude", default))
+
+
+# sweep-spec fields and their parsers (value, key); the four lists and seeds are required
+_SPEC_FIELDS = {
+    "policies": lambda v, key: [_policy(p) for p in v],
+    "k_values": lambda v, key: [parse_int(k, key) for k in v],
+    "perturbations": lambda v, key: [_perturbation(p) for p in v],
+    **dict.fromkeys(("seeds", "size", "base_seed"), parse_int),
+    "target_kind": lambda v, key: v,
+    "pipeline": lambda v, key: config_from_dict(v),
+}
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"sweep spec must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in _SPEC_REQUIRED if k not in d]
-    if missing:
-        raise ConfigurationError(f"sweep spec is missing keys: {', '.join(missing)}")
-    unknown = sorted(set(d) - set(_SPEC_REQUIRED) - set(_SPEC_OPTIONAL))
-    if unknown:
-        raise ConfigurationError(f"unknown sweep spec keys: {', '.join(unknown)}")
-    for key, fields in (("policies", {"mode", "value"}), ("perturbations", {"kind", "magnitude"})):
-        records = d[key] if isinstance(d[key], list) else []  # the parse below refuses a non-list
-        unknown = sorted({f for p in records if isinstance(p, dict) for f in p} - fields)
-        if unknown:
-            raise ConfigurationError(f"unknown sweep spec {key} fields: {', '.join(unknown)}")
-    try:
-        policies = [ThresholdPolicy(p["mode"], parse_float(p["value"], "value")) for p in d["policies"]]
-        perts = [
-            PromptPerturbation(p["kind"], parse_float(p.get("magnitude", _default_magnitude(p["kind"])),
-                                                      "magnitude"))
-            for p in d["perturbations"]
-        ]
-        scalars = dict(k_values=[parse_int(k, "k_values") for k in d["k_values"]],
-                       seeds=parse_int(d["seeds"], "seeds"), size=parse_int(d.get("size", 128), "size"),
-                       base_seed=parse_int(d.get("base_seed", 0), "base_seed"),
-                       target_kind=d.get("target_kind", "ellipse"))
-    except KeyError as exc:
-        raise ConfigurationError(f"sweep spec record is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad sweep spec value: {exc}") from None
-    return SweepSpec(policies=policies, perturbations=perts,
-                     pipeline=config_from_dict(d.get("pipeline", {})), **scalars)
-
-
-def _default_magnitude(kind: str) -> float:
-    return 0.0 if kind in ("tight", "misleading") else 0.5
+    fields = parse_record(d, "sweep spec", _SPEC_FIELDS,
+                          required=("policies", "k_values", "perturbations", "seeds"))
+    return SweepSpec(**fields)
 
 
 CSV_COLUMNS = [

@@ -10,6 +10,7 @@ token matrix so later stages can map tokens back to space.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
 from .numerics import as_matrix, load_matrix_csv, make_rng, open_new
-from .numerics import read_container
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -174,7 +174,27 @@ def save_image(path, img) -> None:
 
 
 def load_image(path) -> np.ndarray:
-    (c, h, w), data = read_container(path, IMAGE_MAGIC, 3)
+    """Read a :func:`save_image` container.
+
+    The header is read strictly and its declared payload size is checked
+    against the rest of the file before the payload is read, so every
+    malformed file raises ValidationError and no size is trusted blindly.
+    """
+    header = len(IMAGE_MAGIC) + 12
+    with open(path, "rb") as f:
+        head = f.read(header)
+        magic = head[:len(IMAGE_MAGIC)]
+        if magic != IMAGE_MAGIC:
+            raise ValidationError(f"{path}: bad magic {magic!r}, expected {IMAGE_MAGIC!r}")
+        if len(head) != header:
+            raise ValidationError(f"{path}: truncated header ({len(head)} of {header} bytes)")
+        c, h, w = struct.unpack("<III", head[len(IMAGE_MAGIC):])
+        size = 8 * c * h * w
+        remaining = os.fstat(f.fileno()).st_size - header
+        if remaining != size:
+            raise ValidationError(f"{path}: header declares {c}x{h}x{w} values ({size} bytes) "
+                                  f"but {remaining} payload bytes follow")
+        data = np.frombuffer(f.read(size), dtype="<f8")
     return validate_image(data.reshape(c, h, w).astype(np.float64))
 
 

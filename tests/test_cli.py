@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import prato
 from prato import pipeline, selfcheck
 from prato.cli import main
-from prato.roi import load_box
-from prato.synth import generate_scene, save_scene
+from prato.errors import ConfigurationError, ValidationError
+from prato.roi import box_from_dict, load_box
+from prato.synth import generate_scene, save_scene, sweep_spec_from_dict
 from prato.tokens import IMAGE_MAGIC, load_image
 
 
@@ -199,7 +200,7 @@ class TestErrors:
         config.write_text(json.dumps({"tau_vlaue": 30}))
         rc = main(["prune", "--image", str(image), "--box", str(box), "--config", str(config)])
         assert rc == 2
-        assert capsys.readouterr().err == "prato: error: unknown config keys: tau_vlaue\n"
+        assert capsys.readouterr().err == "prato: error: unknown config fields: tau_vlaue\n"
 
     @pytest.mark.parametrize("argv, spec", [
         (["synth", "--size", "0", "--count", "1"], None),
@@ -233,6 +234,7 @@ class TestErrors:
         (["prune", "--roi-k", "20000"], None),
         (["prune", "--config"], {"sampling_ratio": 4000}),
         (["prune", "--config"], {"proj_tied": 1}),
+        (["sweep"], {"seeds": 10**9}),
     ], ids=["synth-size-0", "synth-size-huge", "synth-count-0", "spec-missing-key",
             "spec-unknown-key", "spec-policy-without-mode", "spec-policy-unknown-field",
             "spec-misspelled-magnitude", "box-list", "box-text-coordinate", "box-null-coordinate",
@@ -241,7 +243,8 @@ class TestErrors:
             "config-huge-int-ln-eps", "config-bool-tau-value", "spec-bool-policy-value",
             "spec-infinite-magnitude", "spec-text-magnitude", "spec-size-8", "spec-unknown-kind",
             "spec-int-kind", "image-0x16x16", "image-1x0x16",
-            "image-1x16x0", "flag-huge-roi-k", "config-huge-sampling-ratio", "config-int-proj-tied"])
+            "image-1x16x0", "flag-huge-roi-k", "config-huge-sampling-ratio", "config-int-proj-tied",
+            "spec-huge-seeds"])
     def test_bad_input_is_one_line(self, scene_files, tmp_path, capsys, argv, spec):
         if argv[1:] == ["--image"]:  # spec is the shape an image file declares, with no values
             image = tmp_path / "empty.prti"
@@ -317,6 +320,84 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["prune", "--image", str(image), "--box", str(box), "--seed", "-1"])
         assert exc.value.code == 2
+
+
+_SPEC = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
+         "perturbations": [{"kind": "tight"}], "seeds": 1, "size": 32}
+# record kind: (a valid record, its required fields, a number field to break)
+_RECORDS = {
+    "config": ({"depth": 2, "ln_eps": 1e-6}, (), "ln_eps"),
+    "sweep spec": (_SPEC, ("policies", "k_values", "perturbations", "seeds"), "seeds"),
+    "policy": ({"mode": "percentile", "value": 25}, ("mode", "value"), "value"),
+    "perturbation": ({"kind": "oversized", "magnitude": 0.5}, ("kind",), "magnitude"),
+    "box record": ({"x1": 0.1, "y1": 0.1, "x2": 0.5, "y2": 0.5}, ("x1", "y1", "x2", "y2"), "x1"),
+}
+
+
+def _broken_records():
+    """(kind, break, broken record, the key the message names) for each structural break."""
+    for kind, (record, required, number) in _RECORDS.items():
+        yield kind, "not-an-object", list(record.values()), None
+        yield kind, "unknown-field", {**record, "zz": 1}, "zz"
+        if required:
+            missing = {key: value for key, value in record.items() if key != required[0]}
+            yield kind, "missing-field", missing, required[0]
+        for name, value in (("bool", True), ("text", "1"), ("non-finite", math.inf), ("list", [1])):
+            yield kind, name, {**record, number: value}, number
+
+
+class TestRecordLaw:
+    """Every JSON record the CLI reads refuses each structural break alike: exactly the record's
+    error class, a message naming the record and the key, and one CLI line with exit code 2."""
+
+    @pytest.mark.parametrize("kind, broken, key", [(kind, broken, key) for kind, _, broken, key
+                                                   in _broken_records()],
+                             ids=[f"{kind}-{how}" for kind, how, _, _ in _broken_records()])
+    def test_each_break_is_one_error_naming_the_record(self, scene_files, tmp_path, capsys,
+                                                        monkeypatch, kind, broken, key):
+        monkeypatch.delenv("PRATO_SEED", raising=False)
+        image, box = scene_files
+        path, out = tmp_path / "record.json", tmp_path / "out"
+        if kind in ("policy", "perturbation"):  # records inside a sweep spec
+            broken = {**_SPEC, {"policy": "policies", "perturbation": "perturbations"}[kind]: [broken]}
+        parse, error, argv = {
+            "config": (pipeline.config_from_dict, ConfigurationError,
+                       ["prune", "--image", str(image), "--box", str(box), "--config", str(path)]),
+            "box record": (box_from_dict, ValidationError,
+                           ["prune", "--image", str(image), "--box", str(path)]),
+        }.get(kind, (sweep_spec_from_dict, ConfigurationError,
+                     ["sweep", "--spec", str(path), "--out", str(out)]))
+        with pytest.raises(error) as exc:
+            parse(broken)
+        assert type(exc.value) is error
+        message = str(exc.value)
+        assert kind in message and (key is None or key in message)
+        path.write_text(json.dumps(broken))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"prato: error: {message}\n" and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags, runs_as", [
+        ({"roi_k": 100}, ["--roi-k", "5"], {"roi_k": 5}),
+        ({"tau_mode": "fixed", "tau_value": 50}, ["--tau-value", "0.5"],
+         {"tau_mode": "fixed", "tau_value": 0.5}),
+        ({"patch_size": 0, "seed": -1}, ["--patch-size", "16", "--seed", "3"],
+         {"patch_size": 16, "seed": 3}),
+    ])
+    def test_a_flag_replaces_an_out_of_range_file_field(self, scene_files, tmp_path, capsys,
+                                                         monkeypatch, config, flags, runs_as):
+        monkeypatch.delenv("PRATO_SEED", raising=False)
+        image, box = scene_files
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["prune", "--image", str(image), "--box", str(box), "--config", str(path)]
+        assert main(argv) == 2  # the file alone is refused
+        capsys.readouterr()
+        assert main(argv + flags) == 0
+        cfg = pipeline.config_from_dict(runs_as)
+        _, _, report = pipeline.run_pipeline(load_image(image), load_box(box), cfg)
+        assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 class TestSweepCommand:

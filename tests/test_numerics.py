@@ -24,7 +24,6 @@ from prato.numerics import (
     make_rng,
     open_new,
     parse_float,
-    read_container,
     softmax_rows,
 )
 from prato.roi import BoxPrompt, load_box, save_box
@@ -142,15 +141,15 @@ class TestRng:
 
 
 class TestMatrixIO:
-    """The binary container reader, through the image container that uses it, and CSV import."""
+    """The binary image container and CSV import."""
 
     def test_binary_roundtrip(self, tmp_path):
         img = make_rng(6).random((2, 7, 5))
         path = tmp_path / "m.prti"
         save_image(path, img)
-        dims, data = read_container(path, IMAGE_MAGIC, 3)
-        assert dims == (2, 7, 5)
-        assert np.array_equal(data, img.ravel())
+        loaded = load_image(path)
+        assert loaded.shape == (2, 7, 5) and loaded.dtype == np.float64
+        assert np.array_equal(loaded, img)
 
     def test_binary_header(self, tmp_path):
         path = tmp_path / "m.prti"

@@ -397,3 +397,53 @@ def test_guard_flags_a_returned_element_every_call_discards(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("NAMES = ['pair']\n")
     assert discarded_elements(pkg, [demo]) == ["a.pair[0]"]
+
+
+_MAPPING_TYPES = {"dict", "Mapping", "MutableMapping"}
+
+
+def _names_a_mapping_type(node) -> bool:
+    return any(getattr(n, "id", None) in _MAPPING_TYPES or getattr(n, "attr", None) in _MAPPING_TYPES
+               for n in ast.walk(node))
+
+
+def dict_checks(src: Path) -> list:
+    """``module:line`` of each test whether a value is a ``dict`` (``isinstance`` or
+    ``issubclass`` against a mapping type, or a comparison with one, as in ``type(v) is dict``)
+    outside ``numerics.parse_record``, the one skeleton every JSON record goes through."""
+    found = []
+    for path, tree in _modules(src).items():
+        allowed = set()
+        for fn in tree.body:
+            if path.stem == "numerics" and getattr(fn, "name", None) == "parse_record":
+                allowed |= {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+                checks = len(node.args) == 2 and _names_a_mapping_type(node.args[1])
+            elif isinstance(node, ast.Compare):
+                checks = any(_names_a_mapping_type(n) for n in [node.left, *node.comparators])
+            else:
+                checks = False
+            if checks:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_parse_record_checks_for_a_dict():
+    assert dict_checks(SRC) == []
+
+
+def test_guard_flags_a_record_that_checks_a_dict_on_its_own(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "numerics.py").write_text(
+        "def parse_record(d):\n    return isinstance(d, dict)\n"
+        "def other(d):\n    return type(d) is dict\n")
+    (pkg / "box.py").write_text(
+        "import collections.abc\n"
+        "def parse_record(d):\n    return isinstance(d, (list, dict))\n"  # not numerics' own
+        "def f(d):\n    return isinstance(d, collections.abc.Mapping) or isinstance(d, list)\n"
+        "def g(d):\n    return type(d) in (dict,) or len(d) == 2\n")
+    assert dict_checks(pkg) == ["box:3", "box:5", "box:7", "numerics:4"]

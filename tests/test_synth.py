@@ -321,20 +321,24 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             _small_spec(k_values=[])
 
+    def test_rows_up_to_the_bound_accepted(self):
+        spec = _small_spec(k_values=[3, 5], seeds=prato.synth.MAX_SWEEP_ROWS // 2)
+        assert len(spec.k_values) * spec.seeds == prato.synth.MAX_SWEEP_ROWS
+
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             _small_spec(base_seed=-1)
 
     @pytest.mark.parametrize("change, message", [
-        ({"k_values": None}, "sweep spec is missing keys: k_values"),
-        ({"policies": None, "seeds": None}, "sweep spec is missing keys: policies, seeds"),
-        ({"sizee": 64}, "unknown sweep spec keys: sizee"),
-        ({"policies": [{"value": 25}]}, "sweep spec record is missing field 'mode'"),
-        ({"perturbations": [{}]}, "sweep spec record is missing field 'kind'"),
+        ({"k_values": None}, "^sweep spec is missing fields: k_values$"),
+        ({"policies": None, "seeds": None}, "^sweep spec is missing fields: policies, seeds$"),
+        ({"sizee": 64}, "^unknown sweep spec fields: sizee$"),
+        ({"policies": [{"value": 25}]}, "^bad sweep spec value: policy is missing fields: mode$"),
+        ({"perturbations": [{}]}, "^bad sweep spec value: perturbation is missing fields: kind$"),
         ({"perturbations": [{"kind": "oversized", "magnitdue": 0.9}]},
-         "unknown sweep spec perturbations fields: magnitdue"),
+         "^bad sweep spec value: unknown perturbation fields: magnitdue$"),
         ({"policies": [{"mode": "percentile", "value": 25, "tau": 1, "extra": 2}]},
-         "unknown sweep spec policies fields: extra, tau"),
+         "^bad sweep spec value: unknown policy fields: extra, tau$"),
         ({"k_values": ["three"]}, "bad sweep spec value"),
         ({"seeds": [2]}, "bad sweep spec value"),
         ({"policies": ["percentile"]}, "bad sweep spec value"),
@@ -357,6 +361,8 @@ class TestRunSweep:
         ({"size": 4097}, r"scene size 4097 must lie in \[16, 4096\]"),
         ({"target_kind": "circle"}, "unknown target kind 'circle'"),
         ({"target_kind": 7}, "unknown target kind 7"),
+        ({"seeds": 10**9}, r"^sweep has 1000000000 rows \(cells x seeds\), more than 100000$"),
+        ({"k_values": [3, 5], "seeds": 50_001}, "sweep has 100002 rows"),
     ])
     def test_spec_from_dict_rejects(self, change, message):
         spec = {"policies": [{"mode": "percentile", "value": 25}], "k_values": [3],
