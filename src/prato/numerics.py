@@ -6,8 +6,8 @@ finite output for finite input. Randomness goes through a counter-based
 Philox generator so that a seed fully determines every sample stream.
 Outside input is read here too: JSON and CSV files, and the JSON records
 (config, sweep spec, box) through :func:`parse_record`, which checks every
-record by one rule with the value parsers :func:`parse_int` and
-:func:`parse_float`.
+record by one rule with the value parsers :func:`parse_int`,
+:func:`parse_float` and :func:`parse_list`.
 """
 
 from __future__ import annotations
@@ -78,17 +78,28 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
 def softmax_rows(m, out=None) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction, in a fresh array or in ``out`` (may be m)."""
-    m = as_matrix(m, "m")
-    e = np.subtract(m, m.max(axis=1, keepdims=True), out=out)
+    """Row-wise softmax with per-row max subtraction, in a fresh array or in ``out`` (may be m).
+
+    Each row is multiplied by the reciprocal of its sum. Finiteness is read from the row maxima,
+    which a NaN or +inf makes non-finite, and from one minimum for -inf, with no (rows, n) mask;
+    a non-finite ``m`` raises ValidationError before ``out`` is written.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"m must be 2-D, got shape {m.shape}")
+    top = m.max(axis=1, keepdims=True)
+    if not (np.isfinite(top).all() and m.min(initial=0.0) > -np.inf):  # initial: m may have no rows
+        raise ValidationError("m contains non-finite entries")
+    e = np.subtract(m, top, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    s = e.sum(axis=1, keepdims=True)
+    e *= np.reciprocal(s, out=s)
     return e
 
 
@@ -155,6 +166,13 @@ def parse_float(value, key: str) -> float:
     if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= _F64_MAX):
         raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def parse_list(value, key: str) -> list:
+    """A JSON list, whose elements the caller parses; any other value, a text too, raises."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def parse_record(d, what: str, fields: dict, required=(), error=ConfigurationError) -> dict:

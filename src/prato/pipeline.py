@@ -59,7 +59,7 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import fan_out, parse_float, parse_int, parse_record, softmax_rows
+from .numerics import fan_out, parse_float, parse_int, parse_list, parse_record, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
@@ -157,7 +157,7 @@ _CONFIG_FIELDS = {
                      "sampling_ratio", "seed"), parse_int),
     **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied", "tau_mode"), lambda v, key: v),
     **dict.fromkeys(("ln_eps", "tau_value"), parse_float),
-    "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in v),
+    "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in parse_list(v, key)),
 }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import make_rng, open_new, parse_float, parse_int, parse_record
+from .numerics import make_rng, open_new, parse_float, parse_int, parse_list, parse_record
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -187,9 +187,9 @@ def _perturbation(d) -> PromptPerturbation:
 
 # sweep-spec fields and their parsers (value, key); the four lists and seeds are required
 _SPEC_FIELDS = {
-    "policies": lambda v, key: [_policy(p) for p in v],
-    "k_values": lambda v, key: [parse_int(k, key) for k in v],
-    "perturbations": lambda v, key: [_perturbation(p) for p in v],
+    "policies": lambda v, key: [_policy(p) for p in parse_list(v, key)],
+    "k_values": lambda v, key: [parse_int(k, key) for k in parse_list(v, key)],
+    "perturbations": lambda v, key: [_perturbation(p) for p in parse_list(v, key)],
     **dict.fromkeys(("seeds", "size", "base_seed"), parse_int),
     "target_kind": lambda v, key: v,
     "pipeline": lambda v, key: config_from_dict(v),

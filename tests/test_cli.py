@@ -378,6 +378,17 @@ class TestRecordLaw:
         assert captured.err == f"prato: error: {message}\n" and not captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, key", [("config", "stage_indices"), ("sweep spec", "policies"),
+                                           ("sweep spec", "k_values"), ("sweep spec", "perturbations")])
+    @pytest.mark.parametrize("value", ["35", {"mode": "percentile", "value": 25}, 3, None])
+    def test_a_list_field_refuses_any_other_value(self, kind, key, value):
+        parse, record = {"config": (pipeline.config_from_dict, {"depth": 2}),
+                         "sweep spec": (sweep_spec_from_dict, _SPEC)}[kind]
+        with pytest.raises(ConfigurationError) as exc:
+            parse({**record, key: value})
+        assert str(exc.value) == \
+            f"bad {kind} value: {key} must be a JSON list, got {type(value).__name__}"
+
     @pytest.mark.parametrize("config, flags, runs_as", [
         ({"roi_k": 100}, ["--roi-k", "5"], {"roi_k": 5}),
         ({"tau_mode": "fixed", "tau_value": 50}, ["--tau-value", "0.5"],

@@ -189,17 +189,17 @@ class TestPooledAttention:
                     seen.append((threading.get_ident(), "buffer"))
                 return np.empty(shape)
 
-        def spy_scores(q, kt, out=None):
+        def spy_queries(x, wq):
             seen.append((threading.get_ident(), "head"))
-            return scores(q, kt, out=out)
+            return queries(x, wq)
 
         def spy_gelu(m):
             seen.append((threading.get_ident(), len(m)))
             return gelu(m)
 
-        scores = encoder._scores
+        queries = encoder._queries
         monkeypatch.setattr(encoder, "np", SpyNumpy())
-        monkeypatch.setattr(encoder, "_scores", spy_scores)
+        monkeypatch.setattr(encoder, "_queries", spy_queries)
         monkeypatch.setattr(encoder, "gelu", spy_gelu)
         groups = numerics.fan_out(lambda _: (threading.get_ident(), encode_tokens(x, w)), 2)
         assert len({ident for ident, _ in groups}) == 2

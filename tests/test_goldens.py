@@ -1,9 +1,10 @@
 """The benchmark's recorded outputs, checked on the library as it stands.
 
 Each workload in ``bench/workloads.py`` (imported read-only) runs its first
-two recorded pool keys and checks the outputs against ``bench/golden/``, as
-``bench/run.py`` does before it times anything. The same checks rerun in
-subprocesses under forced OpenBLAS kernels.
+two recorded pool keys, then six keys spread evenly through its pool, and
+checks the outputs against ``bench/golden/``, as ``bench/run.py`` does
+before it times anything. The first-two-keys checks rerun in subprocesses
+under forced OpenBLAS kernels.
 """
 
 import os
@@ -18,12 +19,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads as W  # noqa: E402
 
 
-@pytest.mark.parametrize("name", W.WORKLOADS)
-def test_first_recorded_keys_match_their_goldens(name, tmp_path):
+def _check_recorded_keys(name, tmp_path, pick):
+    """Check the keys ``pick(recorded keys, ascending)`` of workload ``name`` on their goldens."""
     make = W.WORKLOADS[name]
     wl = make(out_root=tmp_path) if name == "sweep-z256" else make()
     golden = wl.load_golden()
-    keys = [int(key) for key in list(golden)[:2]]
+    keys = pick(sorted(int(key) for key in golden))
     run = wl.run_for(keys)
     try:
         for key in keys:
@@ -31,6 +32,17 @@ def test_first_recorded_keys_match_their_goldens(name, tmp_path):
             assert problems == [], f"{name} key {key}"
     finally:
         wl.finish(run)
+
+
+@pytest.mark.parametrize("name", W.WORKLOADS)
+def test_first_recorded_keys_match_their_goldens(name, tmp_path):
+    _check_recorded_keys(name, tmp_path, lambda keys: keys[:2])
+
+
+@pytest.mark.parametrize("name", W.WORKLOADS)
+def test_keys_spread_through_the_pool_match_their_goldens(name, tmp_path):
+    """Six keys at evenly spaced points of the pool, none of them the first two."""
+    _check_recorded_keys(name, tmp_path, lambda keys: keys[len(keys) // 12::len(keys) // 6])
 
 
 def _cpu_flags() -> set:

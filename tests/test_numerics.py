@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,34 @@ class TestSoftmaxRows:
         m = make_rng(seed).normal(scale=10.0, size=(4, 9))
         s = softmax_rows(m)
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first column", "last column", "row max", "all -inf row"])
+    @pytest.mark.parametrize("into", ["fresh", "out", "in place"])
+    def test_non_finite_refused_before_out_is_written(self, bad, where, into):
+        m = make_rng(3).normal(size=(4, 7))
+        if where == "all -inf row":
+            m[2] = -np.inf
+        col = {"first column": 0, "last column": 6, "row max": int(np.argmax(m[2]))}.get(where, 3)
+        m[2, col] = bad
+        out = {"fresh": None, "out": np.full(m.shape, 7.0), "in place": m}[into]
+        held = [a for a in (m, out) if a is not None]
+        before = [a.copy() for a in held]
+        with pytest.raises(ValidationError, match="non-finite"):
+            softmax_rows(m, out=out)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(held, before))
+
+    def test_in_place_block_makes_no_block_sized_temporary(self):
+        m = make_rng(5).normal(size=(256, 1024))
+        want = softmax_rows(m)
+        tracemalloc.start()
+        try:
+            got = softmax_rows(m, out=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is m and np.array_equal(m, want)
+        assert peak < m.nbytes // 16  # not even a (rows, n) bool mask, m.nbytes // 8
 
 
 class TestLayerNorm:
