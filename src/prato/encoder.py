@@ -16,8 +16,12 @@ row's softmax needs only its own scores, so this is exact with no online
 softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 The (n, d_h) queries carry the 1/sqrt(d_h) scale, applied once per head,
-so a (256, n) score block is the plain product q k^T, which ``softmax_rows``
-then normalizes in place.
+so a (256, n) score block is the plain product q k^T. ``softmax_rows(sc,
+out=sc, v=v)`` takes its exponentials in place and returns (e @ v) * (1 /
+row sums), so the block is never normalized, and it shifts a row by its max
+only when that max lies outside +-``numerics.SHIFT_FREE`` (64). A block
+takes six passes: product, max, min, exp, row sum and ``@ v``, then a
+(256, d_h) scale.
 
 A block over n > ``POOL_ABOVE`` (96) tokens, where two cores measured faster than
 one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
@@ -135,7 +139,7 @@ def _attention(x: np.ndarray, w: BlockWeights) -> np.ndarray:
             for r in range(0, n, QUERY_BLOCK):
                 m = min(QUERY_BLOCK, n - r)
                 sc = np.matmul(q[r:r + m], kt, out=bufs[g][:m])
-                out[r:r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc) @ v
+                out[r:r + m, h * d_h:(h + 1) * d_h] = softmax_rows(sc, out=sc, v=v)
 
     fan_out(group, len(bufs))
     return out

@@ -27,6 +27,9 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 _pool = {}  # "threads": the executor of _CORES - 1 threads; one made by a losing racer never starts
 _F64_MAX = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
 _group = threading.local()  # .active while this thread runs a fan-out group
+# softmax is shift-invariant, and a row whose max lies in [-64, 64] needs no shift: its exps stay
+# below n e^64, far from overflow, and its sum at least e^-64, far from underflow
+SHIFT_FREE = 64.0
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.clear)  # a child inherits the pool, not its threads
 
@@ -83,29 +86,44 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(m, out=None) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction, in a fresh array or in ``out`` (may be m).
+def softmax_rows(m, out=None, v=None) -> np.ndarray:
+    """Row-wise softmax of ``m``, or with values ``v`` the product softmax(m) @ v.
 
-    Each row is multiplied by the reciprocal of its sum. Finiteness is read from the row maxima,
+    The exponentials go to a fresh array or to ``out`` (may be m). Without ``v`` each row is then
+    multiplied by the reciprocal of its sum; with ``v`` the result is (e @ v) * (1 / row sums), so
+    the (rows, n) block is never normalized, and its passes are max, min, exp, row sum and @ v.
+    A row is shifted by its max only if that max lies outside +-``SHIFT_FREE``, which keeps
+    every unshifted row sum within [e^-64, n e^64]. Finiteness is read from the row maxima,
     which a NaN or +inf makes non-finite, and from one minimum for -inf, with no (rows, n) mask;
-    a non-finite ``m`` raises ValidationError before ``out`` is written.
+    a non-finite ``m``, an ``m`` with no columns or a bad ``v`` raises before ``out`` is written.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"m must be 2-D, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[1] == 0:
+        raise ShapeError(f"m must be 2-D with at least one column, got shape {m.shape}")
+    if v is not None:
+        v = as_matrix(v, "v")
+        if len(v) != m.shape[1]:
+            raise ShapeError(f"v has {len(v)} rows for the {m.shape[1]} columns of m")
     top = m.max(axis=1, keepdims=True)
     if not (np.isfinite(top).all() and m.min(initial=0.0) > -np.inf):  # initial: m may have no rows
         raise ValidationError("m contains non-finite entries")
-    e = np.subtract(m, top, out=out)
-    np.exp(e, out=e)
-    s = e.sum(axis=1, keepdims=True)
-    e *= np.reciprocal(s, out=s)
-    return e
+    # shift only the rows that need it, so a row's bits never depend on the rest of its block
+    if np.abs(top).max(initial=0.0) > SHIFT_FREE:
+        e = np.subtract(m, np.where(np.abs(top) > SHIFT_FREE, top, 0.0), out=out)
+        np.exp(e, out=e)
+    else:
+        e = np.exp(m, out=out)
+    s = np.reciprocal(e.sum(axis=1, keepdims=True))
+    r = e if v is None else e @ v
+    r *= s
+    return r
 
 
 def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
     """Rows to mean 0, variance 1, with no affine part; centred once, bits as np.mean/np.var."""
     m = as_matrix(m, "m")
+    if m.shape[1] == 0:
+        raise ShapeError(f"m must have at least one column, got shape {m.shape}")
     if eps <= 0:
         raise ValidationError("eps must be positive")
     c = m.shape[1]

@@ -206,7 +206,7 @@ def check_attention_rows(rng) -> bool:
 def attention_oracle(x, w):
     """Unblocked attention: softmax((q * 1/sqrt(d_h)) k^T) v per head, concatenated (before wo)."""
     scale = 1.0 / np.sqrt(x.shape[1] // w.heads)
-    heads = [numerics.softmax_rows((x @ wq * scale) @ (x @ wk).T) @ (x @ wv)
+    heads = [numerics.softmax_rows((x @ wq * scale) @ (x @ wk).T, v=x @ wv)
              for wq, wk, wv in zip(w.wq, w.wk, w.wv)]
     return np.concatenate(heads, axis=1)
 

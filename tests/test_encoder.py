@@ -127,9 +127,9 @@ class TestPooledAttention:
         w.wq[bad_head] = np.full_like(w.wq[bad_head], np.inf)
         done = []
 
-        def slow_softmax(m, out=None):
+        def slow_softmax(m, out=None, v=None):
             time.sleep(0.01)
-            result = softmax_rows(m, out=out)
+            result = softmax_rows(m, out=out, v=v)
             done.append(threading.get_ident())
             return result
 
@@ -354,34 +354,48 @@ class TestAttentionMap:
 
     @staticmethod
     def _applied_and_maps(monkeypatch, n, grid_w):
-        """Per thread, the weights its softmax calls returned in call order; per head, the map."""
+        """Per thread, its softmax calls in order as (block, v, product); per head, the map."""
         monkeypatch.setattr(numerics, "_CORES", 2)
         x = make_rng(8).normal(size=(n, 24))
         w = init_block_weights(24, 3, seed=14)  # d_h = 8, whose sqrt is not a power of two
         applied = {}
 
-        def spy(m, out=None):
-            result = softmax_rows(m, out=out)
-            applied.setdefault(threading.get_ident(), []).append(result.copy())
+        def spy(m, out=None, v=None):
+            block = m.copy()  # before the in-place write
+            result = softmax_rows(m, out=out, v=v)
+            applied.setdefault(threading.get_ident(), []).append((block, v, result.copy()))
             return result
 
         monkeypatch.setattr(encoder, "softmax_rows", spy)
         encode_tokens(x, w)
         monkeypatch.undo()
         maps = [attention_map(_grid(x, n // grid_w, grid_w), w, head) for head in range(3)]
-        caller = np.vstack(applied.pop(threading.get_ident()))
-        return caller, [np.vstack(blocks) for blocks in applied.values()], maps
+        caller = applied.pop(threading.get_ident())
+        return caller, list(applied.values()), maps
+
+    @staticmethod
+    def _assert_calls_apply_map(calls, maps):
+        """The map's rows are softmax_rows of the recorded blocks bitwise, and each call's product
+        is those rows @ v within 1e-14 of its largest entry."""
+        rows = np.vstack(maps)
+        assert np.array_equal(np.vstack([softmax_rows(block) for block, _, _ in calls]), rows)
+        r = 0
+        for block, v, product in calls:
+            want = rows[r:r + len(block)] @ v
+            r += len(block)
+            assert np.abs(product - want).max() <= 1e-14 * np.abs(want).max()
+        assert r == len(rows)
 
     def test_equals_block_weights_bitwise(self, monkeypatch):
         caller, workers, maps = self._applied_and_maps(monkeypatch, 20, 5)
         assert not workers  # one query block: no pool
-        assert np.array_equal(caller, np.vstack(maps))
+        self._assert_calls_apply_map(caller, maps)
 
     def test_equals_pooled_block_weights_bitwise(self, monkeypatch):
         # two query blocks on two head groups: {0, 2} on the caller, {1} on the worker
         caller, (worker,), maps = self._applied_and_maps(monkeypatch, 300, 20)
-        assert np.array_equal(caller, np.vstack([maps[0], maps[2]]))
-        assert np.array_equal(worker, maps[1])
+        self._assert_calls_apply_map(caller, [maps[0], maps[2]])
+        self._assert_calls_apply_map(worker, [maps[1]])
 
     def test_head_out_of_range(self):
         w = init_block_weights(16, 2, seed=10)

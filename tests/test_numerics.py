@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from prato import numerics
 from prato.errors import ConfigurationError, ShapeError, ValidationError
 from prato.numerics import (
+    SHIFT_FREE,
     fan_out,
     layer_norm,
     load_matrix_csv,
@@ -58,33 +59,93 @@ class TestSoftmaxRows:
         s = softmax_rows(m)
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("with_v", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["first column", "last column", "row max", "all -inf row"])
     @pytest.mark.parametrize("into", ["fresh", "out", "in place"])
-    def test_non_finite_refused_before_out_is_written(self, bad, where, into):
+    def test_non_finite_refused_before_out_is_written(self, bad, where, into, with_v):
         m = make_rng(3).normal(size=(4, 7))
         if where == "all -inf row":
             m[2] = -np.inf
         col = {"first column": 0, "last column": 6, "row max": int(np.argmax(m[2]))}.get(where, 3)
         m[2, col] = bad
         out = {"fresh": None, "out": np.full(m.shape, 7.0), "in place": m}[into]
+        v = make_rng(4).normal(size=(7, 3)) if with_v else None
         held = [a for a in (m, out) if a is not None]
         before = [a.copy() for a in held]
         with pytest.raises(ValidationError, match="non-finite"):
-            softmax_rows(m, out=out)
+            softmax_rows(m, out=out, v=v)
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(held, before))
+
+    @pytest.mark.parametrize("bad_v, error", [
+        (np.ones(7), ShapeError),  # 1-D
+        (np.ones((6, 3)), ShapeError),  # rows != columns of m
+        (np.where(np.eye(7, 3) > 0, np.nan, 1.0), ValidationError),
+        (np.where(np.eye(7, 3) > 0, -np.inf, 1.0), ValidationError),
+    ])
+    def test_bad_v_refused_before_out_is_written(self, bad_v, error):
+        m = make_rng(3).normal(size=(4, 7))
+        before = m.copy()
+        with pytest.raises(error, match="^v "):
+            softmax_rows(m, out=m, v=bad_v)
+        assert np.array_equal(m, before)
+
+    def test_zero_columns_refused_zero_rows_empty(self):
+        with pytest.raises(ShapeError, match="m must"):
+            softmax_rows(np.zeros((3, 0)))
+        with pytest.raises(ShapeError, match="m must"):
+            softmax_rows(np.zeros((3, 0)), v=np.zeros((0, 2)))
+        assert softmax_rows(np.zeros((0, 5))).shape == (0, 5)
+        assert softmax_rows(np.zeros((0, 5)), v=np.ones((5, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("row_max", [None, 1000.0, -1000.0])
+    def test_v_path_equals_softmax_then_product(self, row_max):
+        rng = make_rng(6)
+        m = rng.normal(scale=8.0, size=(9, 40))
+        v = rng.normal(size=(40, 16))
+        if row_max is None:  # the shift-free branch
+            assert np.abs(m.max(axis=1)).max() <= SHIFT_FREE
+        else:  # one row is shifted; unshifted, a -1000 row's exps all underflow to 0
+            m[4] += row_max - m[4].max()
+            with np.errstate(over="ignore"):
+                assert np.exp(m[4]).sum() in (0.0, np.inf)
+        want = softmax_rows(m) @ v
+        for out in (None, m.copy()):
+            got = softmax_rows(m, out=out, v=v)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        e = np.exp(m - m.max(axis=1, keepdims=True))  # the shifted textbook form
+        textbook = (e / e.sum(axis=1, keepdims=True)) @ v
+        assert np.abs(want - textbook).max() <= 1e-14 * np.abs(want).max()
+
+    def test_a_row_does_not_depend_on_its_block(self):
+        # one row past +-SHIFT_FREE does not move the bits of the rows that need no shift
+        m = make_rng(7).normal(scale=8.0, size=(6, 30))
+        shifted = m.copy()
+        shifted[2] += 500.0
+        v = make_rng(8).normal(size=(30, 4))
+        others = [0, 1, 3, 4, 5]
+        for values in (None, v):
+            want = softmax_rows(m, v=values)
+            assert np.array_equal(softmax_rows(shifted, v=values)[others], want[others])
 
     def test_in_place_block_makes_no_block_sized_temporary(self):
         m = make_rng(5).normal(size=(256, 1024))
+        v = make_rng(6).normal(size=(1024, 16))
         want = softmax_rows(m)
-        tracemalloc.start()
-        try:
-            got = softmax_rows(m, out=m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got is m and np.array_equal(m, want)
-        assert peak < m.nbytes // 16  # not even a (rows, n) bool mask, m.nbytes // 8
+        want_v = want @ v
+        for values in (None, v):
+            a = m.copy()
+            tracemalloc.start()
+            try:
+                got = softmax_rows(a, out=a, v=values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if values is None:
+                assert got is a and np.array_equal(a, want)
+            else:
+                assert np.abs(got - want_v).max() <= 1e-14 * np.abs(want_v).max()
+            assert peak < m.nbytes // 16  # not even a (rows, n) bool mask, m.nbytes // 8
 
 
 class TestLayerNorm:
@@ -121,6 +182,12 @@ class TestLayerNorm:
             want = m - m.mean(axis=1, keepdims=True)
             want /= np.sqrt(m.var(axis=1, keepdims=True) + eps)
             assert np.array_equal(layer_norm(m, eps), want, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_columns_refused(self):
+        with pytest.raises(ShapeError, match="m must"):
+            layer_norm(np.zeros((3, 0)))
+        assert layer_norm(np.zeros((0, 4))).shape == (0, 4)
 
 
 class TestLogistic:
