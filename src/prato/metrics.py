@@ -2,7 +2,7 @@
 
 Predictions are (H, W, N) probability maps summing to 1 per pixel;
 ground truth is an (H, W) integer label mask. Hard metrics (overlap
-scores and the 95th-percentile boundary distance) take two label
+scores and the 95th-percentile boundary distance) take two finite label
 masks. Empty-vs-empty classes score 1.0 on the overlap metrics; the
 boundary distance is undefined on empty regions and raises instead of
 returning a misleading 0.
@@ -80,11 +80,18 @@ def loss_gradient(pred, truth) -> np.ndarray:
     return grad_dice + grad_ce
 
 
-def confusion_counts(pred_hard, truth, cls: int) -> tuple[int, int, int]:
-    pred_hard = np.asarray(pred_hard)
-    truth = np.asarray(truth)
+def _check_masks(pred_hard, truth) -> tuple[np.ndarray, np.ndarray]:
+    pred_hard, truth = np.asarray(pred_hard), np.asarray(truth)
     if pred_hard.shape != truth.shape:
         raise ShapeError(f"mask shapes {pred_hard.shape} and {truth.shape} differ")
+    for name, m in (("prediction", pred_hard), ("truth", truth)):
+        if m.dtype.kind in "fc" and not np.isfinite(m).all():
+            raise ValidationError(f"{name} mask contains non-finite entries")
+    return pred_hard, truth
+
+
+def confusion_counts(pred_hard, truth, cls: int) -> tuple[int, int, int]:
+    pred_hard, truth = _check_masks(pred_hard, truth)
     p = pred_hard == cls
     t = truth == cls
     tp = int(np.count_nonzero(p & t))
@@ -122,10 +129,7 @@ def hd95_metric(pred_hard, truth, cls: int) -> float:
     The 95th percentile, linear interpolation, of the pooled directed
     point-to-set distances in both directions.
     """
-    pred_hard = np.asarray(pred_hard)
-    truth = np.asarray(truth)
-    if pred_hard.shape != truth.shape:
-        raise ShapeError(f"mask shapes {pred_hard.shape} and {truth.shape} differ")
+    pred_hard, truth = _check_masks(pred_hard, truth)
     a = np.argwhere(pred_hard == cls).astype(np.float64)
     b = np.argwhere(truth == cls).astype(np.float64)
     if a.shape[0] == 0 or b.shape[0] == 0:

@@ -133,8 +133,10 @@ def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
 
 
 def logistic(x):
-    """Numerically stable 1/(1 + exp(-x)), elementwise; a scalar gives a 0-d array."""
+    """Numerically stable 1/(1 + exp(-x)), elementwise; a scalar gives a 0-d array, +-inf 1 and 0."""
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValidationError("logistic input contains NaN")
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -144,7 +146,9 @@ def logistic(x):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded counter-based generator (Philox); one stream per seed."""
+    """Seeded counter-based generator (Philox); one stream per non-negative integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -162,6 +162,8 @@ def relevance_scores(similarity, weights) -> np.ndarray:
     """Mean over region rows of the row-weighted similarity map."""
     s = as_matrix(similarity, "similarity")
     w = np.asarray(weights, dtype=np.float64).ravel()
+    if s.shape[0] == 0:
+        raise ShapeError("similarity must have at least one row")
     if w.size != s.shape[0]:
         raise ShapeError(f"{w.size} weights do not match {s.shape[0]} similarity rows")
     return (w[:, None] * s).mean(axis=0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -37,7 +36,7 @@ from .tokens import save_image
 TARGET_KINDS = ("ellipse", "rectangle", "blob")
 # below 15 px the widest blob draw leaves no room for its margin; one 4096^2 plane is 128 MiB
 SCENE_SIZE_MIN, SCENE_SIZE_MAX = 16, 4096
-# rows a sweep holds until it writes them, about 1 KB each (tracemalloc): about 100 MB at the bound
+# rows a sweep holds until it writes them, about 670 B each (sys.getsizeof): about 67 MB at the bound
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -90,21 +89,19 @@ def _target_mask(kind: str, h: int, w: int, rng: np.random.Generator) -> np.ndar
         y0 = rng.uniform(1, h - bh - 1)
         yy, xx = np.ogrid[0:h, 0:w]
         return (xx >= x0) & (xx < x0 + bw) & (yy >= y0) & (yy < y0 + bh)
-    if kind == "blob":
-        rx = np.sqrt(0.6 * area * aspect / np.pi)
-        ry = rx / aspect
-        margin = 1.7 * max(rx, ry) + 1
-        cx = rng.uniform(margin, w - margin)
-        cy = rng.uniform(margin, h - margin)
-        mask = _ellipse_mask(h, w, cy, cx, ry, rx)
-        for _ in range(2):
-            angle = rng.uniform(0, 2 * np.pi)
-            sx = cx + 0.8 * rx * np.cos(angle)
-            sy = cy + 0.8 * ry * np.sin(angle)
-            sr = 0.5 * min(rx, ry)
-            mask |= _ellipse_mask(h, w, sy, sx, sr, sr)
-        return mask
-    raise ConfigurationError(f"unknown target kind {kind!r}")
+    rx = np.sqrt(0.6 * area * aspect / np.pi)  # a blob: generate_scene has checked the kind
+    ry = rx / aspect
+    margin = 1.7 * max(rx, ry) + 1
+    cx = rng.uniform(margin, w - margin)
+    cy = rng.uniform(margin, h - margin)
+    mask = _ellipse_mask(h, w, cy, cx, ry, rx)
+    for _ in range(2):
+        angle = rng.uniform(0, 2 * np.pi)
+        sx = cx + 0.8 * rx * np.cos(angle)
+        sy = cy + 0.8 * ry * np.sin(angle)
+        sr = 0.5 * min(rx, ry)
+        mask |= _ellipse_mask(h, w, sy, sx, sr, sr)
+    return mask
 
 
 def _check_scene(kind: str, size: int) -> None:
@@ -210,44 +207,26 @@ CSV_COLUMNS = [
 ]
 
 
-def _retention_densities(pruned, used: np.ndarray, original: np.ndarray):
-    """Fraction of tokens retained inside/outside the ``used`` tokens and inside ``original``."""
-    gh, gw = pruned.grid_h, pruned.grid_w
-    retained = np.zeros(gh * gw, dtype=bool)
-    flat = pruned.retained_coords[:, 0] * gw + pruned.retained_coords[:, 1]
-    retained[flat] = True
-
-    def density(tokens):
-        return float(retained[tokens].mean()) if tokens.any() else 0.0
-
-    return density(used), density(~used), density(original)
-
-
 def _cell_row(cell, box: BoxPrompt, prefix, base: PipelineConfig, scene: Scene, in_box) -> dict:
-    """A cell's CSV row: its run on ``prefix`` under ``base`` with the cell's policy and k, or the
-    error of that run or of the prefix; ``in_box`` masks a box."""
+    """A cell's CSV row of values: its run on ``prefix`` under ``base`` with the cell's policy and
+    k, or the error of that run or of the prefix; ``in_box`` masks a box. The densities are the
+    shares of retained tokens inside the box, outside it and inside the tight box."""
     policy, k, pert = cell
     row = dict.fromkeys(CSV_COLUMNS, "")
-    row.update(policy_mode=policy.mode, policy_value=repr(policy.value), k=k,
-               perturbation=pert.kind, magnitude=repr(pert.magnitude), seed=base.seed)
+    row.update(policy_mode=policy.mode, policy_value=policy.value, k=k,
+               perturbation=pert.kind, magnitude=pert.magnitude, seed=base.seed)
     try:
         if isinstance(prefix, Exception):
             raise prefix
         cfg = replace(base, policy=policy, roi_k=int(k))  # a bad k fails here
         pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix, stop_at_last_stage=True)
-        in_d, out_d, orig_d = _retention_densities(pruned, in_box(box), in_box(scene.tight_box))
-        row.update({
-            "Z": report.tokens_full,
-            "retained_final": pruned.retained_count,
-            "token_sparsity": repr(report.token_sparsity),
-            "flops_full": report.flops_full,
-            "flops_pruned": report.flops_pruned,
-            "flops_reduction": repr(report.flops_reduction),
-            "in_box_density": repr(in_d),
-            "out_box_density": repr(out_d),
-            "original_box_density": repr(orig_d),
-            "box_iou_with_tight": repr(box_iou(box, scene.tight_box)),
-        })
+        used, tight = in_box(box), in_box(scene.tight_box)
+        kept = np.zeros_like(used)
+        kept[np.ravel_multi_index(pruned.retained_coords.T, (pruned.grid_h, pruned.grid_w))] = True
+        for name, tokens in (("in_box", used), ("out_box", ~used), ("original_box", tight)):
+            row[name + "_density"] = float(kept[tokens].mean()) if tokens.any() else 0.0
+        row.update((key, value) for key, value in report.to_dict().items() if key in row)
+        row.update(retained_final=pruned.retained_count, box_iou_with_tight=box_iou(box, scene.tight_box))
     except Exception as exc:  # record and continue
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -262,16 +241,16 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     weights and encoded prefix are computed once, and so are each
     perturbation's box and each box's in-box tokens. Each cell is one
     :func:`run_pipeline` call on the prefix that runs no block after the
-    last stage, since a row reads no token value. Cells run region by
-    region, (k, perturbation), so the prefix scores each region once for
-    all its policies, and memory holds one cell's result at a time. A
-    prefix failure is recorded in every cell of that seed. Rows are written
-    policy, then k, then perturbation, then seed.
+    last stage, since a row reads no token value. The loop runs a seed's
+    cells region by region, (perturbation, k), so the prefix scores each
+    region once for all its policies, and memory holds one cell's result
+    at a time. A prefix failure is recorded in every cell of that seed.
+    Rows are written policy, then k, then perturbation, then seed; each
+    float as Python's shortest round-trip text.
     """
     os.makedirs(out_dir, exist_ok=True)
-    cells = list(itertools.product(spec.policies, spec.k_values, spec.perturbations))
-    regions = len(spec.k_values) * len(spec.perturbations)
-    rows = [[None] * spec.seeds for _ in cells]
+    shape = len(spec.policies), len(spec.k_values), len(spec.perturbations), spec.seeds
+    rows = np.empty(shape, dtype=object)  # each row at its (policy, k, perturbation, seed) index
     grid = spec.size // spec.pipeline.patch_size  # positive wherever a prefix encodes
     for s in range(spec.seeds):
         base = replace(spec.pipeline, seed=spec.base_seed ^ s)
@@ -280,13 +259,14 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
             prefix = encode_prefix(scene.image, base)
         except Exception as exc:  # recorded in every cell of this seed
             prefix = exc
-        # every cell reseeds the rng, so its box depends on its perturbation alone
-        perturbed = {pert: perturb_prompt(scene.tight_box, pert, make_rng(base.seed ^ 0x5EED))
-                     for pert in spec.perturbations}
         in_box = functools.cache(lambda bx: token_in_box_mask(grid, grid, map_box_to_grid(bx, grid, grid)))
-        for i in sorted(range(len(cells)), key=lambda i: i % regions):
-            rows[i][s] = _cell_row(cells[i], perturbed[cells[i][2]], prefix, base, scene, in_box)
-    rows = [row for per_seed in rows for row in per_seed]
+        for c, pert in enumerate(spec.perturbations):
+            # every cell reseeds the rng, so its box depends on its perturbation alone
+            box = perturb_prompt(scene.tight_box, pert, make_rng(base.seed ^ 0x5EED))
+            for b, k in enumerate(spec.k_values):
+                for a, policy in enumerate(spec.policies):
+                    rows[a, b, c, s] = _cell_row((policy, k, pert), box, prefix, base, scene, in_box)
+    rows = list(rows.flat)
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open_new(csv_path, newline="") as f:
@@ -301,24 +281,19 @@ def run_sweep(spec: SweepSpec, out_dir) -> dict:
     return summary
 
 
+_MEAN_COLUMNS = ("token_sparsity", "flops_reduction", "in_box_density", "out_box_density",
+                 "original_box_density")
+
+
 def _summarize(rows) -> dict:
     cells: dict = {}
     for row in rows:
-        if row["error"]:
-            continue
-        key = f"{row['policy_mode']}={row['policy_value']}|k={row['k']}|{row['perturbation']}"
-        cells.setdefault(key, []).append(row)
+        if not row["error"]:
+            key = f"{row['policy_mode']}={row['policy_value']}|k={row['k']}|{row['perturbation']}"
+            cells.setdefault(key, []).append(row)
     out = {"cells": {}, "total_rows": len(rows),
            "failed_rows": sum(1 for r in rows if r["error"])}
     for key, group in sorted(cells.items()):
-        out["cells"][key] = {
-            "runs": len(group),
-            "mean_token_sparsity": float(np.mean([float(r["token_sparsity"]) for r in group])),
-            "mean_flops_reduction": float(np.mean([float(r["flops_reduction"]) for r in group])),
-            "mean_in_box_density": float(np.mean([float(r["in_box_density"]) for r in group])),
-            "mean_out_box_density": float(np.mean([float(r["out_box_density"]) for r in group])),
-            "mean_original_box_density": float(
-                np.mean([float(r["original_box_density"]) for r in group])
-            ),
-        }
+        out["cells"][key] = {"runs": len(group), **{
+            "mean_" + name: float(np.mean([r[name] for r in group])) for name in _MEAN_COLUMNS}}
     return out

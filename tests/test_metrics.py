@@ -272,6 +272,20 @@ class TestHd95:
             hd95_metric(a, b, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", [dsc_metric, iou_metric, hd95_metric])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_masks_refused(metric, bad):
+    truth = np.zeros((4, 4), dtype=int)
+    truth[:2] = 1
+    pred = truth.astype(np.float64)
+    pred[3, 3] = bad  # counted as background, it would match the truth perfectly
+    for a, b, name in ((pred, truth, "prediction"), (truth, pred, "truth")):
+        with pytest.raises(ValidationError, match=f"^{name} mask contains non-finite entries$"):
+            metric(a, b, 1)
+    assert metric(truth.astype(np.float64), truth, 1) == metric(truth, truth, 1)
+
+
 class TestReports:
     def test_report_rows_and_aggregation(self):
         rng = make_rng(17)

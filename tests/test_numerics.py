@@ -212,6 +212,13 @@ class TestLogistic:
     def test_extremes_stay_finite(self):
         assert 0.0 <= logistic(-1e6) <= logistic(1e6) <= 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinities_keep_their_limits_and_nan_is_refused(self):
+        assert logistic(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+        for x in (np.array([np.nan]), np.array([0.5, np.nan, -np.inf]), math.nan):
+            with pytest.raises(ValidationError, match="NaN"):
+                logistic(x)
+
 
 class TestParseFloat:
     @pytest.mark.parametrize("value", [0, -3, 2**53 + 1, 2.5, 1e-300, -1.7e308])
@@ -234,6 +241,19 @@ class TestRng:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(make_rng(1).normal(size=10), make_rng(2).normal(size=10))
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7), np.uint8(7)])
+    def test_numpy_integers_give_the_python_integer_stream(self, seed):
+        assert np.array_equal(make_rng(seed).normal(size=10), make_rng(7).normal(size=10))
+
+    def test_large_seeds_accepted(self):
+        assert len({make_rng(seed).random() for seed in (0, 2**64 - 1, 2**200)}) == 3
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, np.int64(-3), True, np.bool_(True), "3", None,
+                                      [1], np.array([1, 2])], ids=repr)
+    def test_other_seeds_raise_naming_the_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="^seed must be a non-negative integer, got "):
+            make_rng(seed)
 
 
 class TestMatrixIO:

@@ -139,6 +139,12 @@ class TestRelevanceScores:
         with pytest.raises(ShapeError):
             relevance_scores(np.zeros((4, 3)), np.ones(5))
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_similarity_rows_refused(self):
+        with pytest.raises(ShapeError, match="at least one row"):
+            relevance_scores(np.zeros((0, 5)), np.zeros(0))
+        assert relevance_scores(np.zeros((2, 0)), np.ones(2)).shape == (0,)
+
 
 class TestBuildMask:
     def test_percentile_count(self):

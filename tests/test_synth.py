@@ -31,7 +31,6 @@ from prato.synth import (
     SweepSpec,
     generate_scene,
     run_sweep,
-    _retention_densities,
     save_scene,
     sweep_spec_from_dict,
     tight_box,
@@ -144,6 +143,11 @@ class TestGenerateScene:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             generate_scene("triangle", 64, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "0"])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ConfigurationError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            generate_scene("ellipse", 64, seed)
 
     @pytest.mark.parametrize("kind", ["ellipse", "rectangle", "blob"])
     def test_size_limits(self, kind):
@@ -263,6 +267,26 @@ class TestRunSweep:
         assert "np.float64" not in content
         assert "np.int64" not in content
 
+    def test_numpy_typed_values_write_the_python_typed_bytes(self, tmp_path):
+        # a row holds the spec's values, and each is written as Python's shortest round-trip text
+        typed = _small_spec(policies=[*(ThresholdPolicy("percentile", q) for q in np.linspace(25, 50, 2)),
+                                      ThresholdPolicy("fixed", np.float64(0.3))],
+                            k_values=list(np.array([3, 5], dtype=np.int64)), seeds=2,
+                            perturbations=[PromptPerturbation("tight", np.float64(0.0)),
+                                           PromptPerturbation("partial", np.float64(0.5))])
+        assert {type(p.value) for p in typed.policies} == {np.float64}
+        assert {type(k) for k in typed.k_values} == {np.int64}
+        assert {type(p.magnitude) for p in typed.perturbations} == {np.float64}
+        plain = replace(typed, policies=[ThresholdPolicy(p.mode, float(p.value)) for p in typed.policies],
+                        k_values=[int(k) for k in typed.k_values],
+                        perturbations=[PromptPerturbation(p.kind, float(p.magnitude))
+                                       for p in typed.perturbations])
+        run_sweep(typed, tmp_path / "numpy")
+        run_sweep(plain, tmp_path / "python")
+        assert "np." not in (tmp_path / "numpy" / "sweep.csv").read_text()
+        for name in ("sweep.csv", "summary.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
+
     def test_tight_box_fields_are_python_floats(self):
         box = generate_scene("ellipse", 64, seed=0).tight_box
         for v in (box.x1, box.y1, box.x2, box.y2):
@@ -376,6 +400,12 @@ class TestRunSweep:
             sweep_spec_from_dict([{"seeds": 1}])
 
 
+def _retained_share(kept: set, tokens, grid_w: int) -> float:
+    """Share of the tokens flagged in the (Z,) ``tokens`` whose (row, col) is in ``kept``."""
+    coords = [divmod(int(i), grid_w) for i in np.flatnonzero(tokens)]
+    return sum(c in kept for c in coords) / len(coords) if coords else 0.0
+
+
 def _reference_sweep_csv(spec) -> bytes:
     """Every cell from scratch, in row order policy, k, perturbation, seed."""
     out = io.StringIO(newline="")
@@ -401,7 +431,8 @@ def _reference_sweep_csv(spec) -> bytes:
                     gh, gw = pruned.grid_h, pruned.grid_w
                     used = token_in_box_mask(gh, gw, map_box_to_grid(box, gh, gw))
                     tight = token_in_box_mask(gh, gw, map_box_to_grid(scene.tight_box, gh, gw))
-                    in_d, out_d, orig_d = _retention_densities(pruned, used, tight)
+                    kept = set(map(tuple, pruned.retained_coords.tolist()))
+                    in_d, out_d, orig_d = (_retained_share(kept, t, gw) for t in (used, ~used, tight))
                     row.update(
                         Z=report.tokens_full, retained_final=pruned.retained_count,
                         token_sparsity=repr(report.token_sparsity),
