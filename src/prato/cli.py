@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigurationError, PratoError
-from .numerics import load_json, open_new
+from .numerics import as_int, load_json, open_new
 from .pipeline import config_from_dict, run_pipeline
 from .roi import load_box
 from .synth import TARGET_KINDS, generate_scene, run_sweep, save_scene, sweep_spec_from_dict
@@ -35,9 +35,7 @@ def _seed(text, name: str = "seed") -> int:
         seed = int(text)
     except ValueError:
         raise ConfigurationError(f"{name} must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
-    return seed
+    return as_int(seed, name, 0)
 
 
 def _env_seed(default):
@@ -47,8 +45,7 @@ def _env_seed(default):
 
 
 def _cmd_synth(args) -> int:
-    if args.count < 1:
-        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
+    as_int(args.count, "--count", 1)
     seed = _env_seed(args.seed)
     manifest = []
     for i in range(args.count):

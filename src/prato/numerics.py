@@ -6,8 +6,8 @@ finite output for finite input. Randomness goes through a counter-based
 Philox generator so that a seed fully determines every sample stream.
 Outside input is read here too: JSON and CSV files, and the JSON records
 (config, sweep spec, box) through :func:`parse_record`, which checks every
-record by one rule with the value parsers :func:`parse_int`,
-:func:`parse_float` and :func:`parse_list`.
+record by one rule with the value parsers :func:`parse_int`, :func:`parse_float`
+and :func:`parse_list`; every integer field and operand goes through :func:`as_int`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import ConfigurationError, ShapeError, ValidationError
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = {}  # "threads": the executor of _CORES - 1 threads; one made by a losing racer never starts
 _F64_MAX = float(np.finfo(np.float64).max)  # a Python float compares exactly with any int
+_INT_RULES = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
 _group = threading.local()  # .active while this thread runs a fan-out group
 # softmax is shift-invariant, and a row whose max lies in [-64, 64] needs no shift: its exps stay
 # below n e^64, far from overflow, and its sum at least e^-64, far from underflow
@@ -145,11 +146,17 @@ def logistic(x):
     return out
 
 
+def as_int(value, key: str, lo: int | None = None) -> int:
+    """``value`` as a Python int: a Python or NumPy integer, never a bool, at least ``lo`` (0 or 1)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or lo is not None and value < lo):
+        raise ConfigurationError(f"{key} must be {_INT_RULES[lo]}, got {value!r}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator (Philox); one stream per non-negative integer seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(as_int(seed, "seed", 0)))
 
 
 def open_new(path, mode: str = "w", **kw):
@@ -178,15 +185,14 @@ def parse_int(value, key: str) -> int:
     """A JSON integer, or a float with no fractional part; anything else, bools too, raises."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return value
+    return as_int(value, key)
 
 
-def parse_float(value, key: str) -> float:
-    """A finite JSON number, integers included; bools, strings, NaN and infinities raise."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= _F64_MAX):
-        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+def parse_float(value, key: str, error=ConfigurationError) -> float:
+    """A finite number, NumPy's too; bools, strings, NaN and infinities raise ``error``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer, np.floating))
+                                       and abs(value) <= _F64_MAX):
+        raise error(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -59,11 +59,12 @@ from .prune import (
     relevance_scores,
     scatter_tokens,
 )
-from .numerics import fan_out, parse_float, parse_int, parse_list, parse_record, softmax_rows
+from .numerics import as_int, fan_out, parse_float, parse_int, parse_list, parse_record, softmax_rows
 from .roi import BoxPrompt, GridBox, map_box_to_grid, roi_align
 from .tokens import TokenGrid, make_embedder, row_major_index_map, tokenize_image, validate_image
 
 MAX_ROI_SAMPLES = 128  # roi_k * sampling_ratio, roi_align's lattice side: 33.3 MiB peak at width 64
+_INT_FIELDS = ("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v", "sampling_ratio", "seed")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,10 @@ class PromptPerturbation:
     def __post_init__(self):
         if self.kind not in ("tight", "oversized", "partial", "misleading"):
             raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
-        if not 0 <= self.magnitude < np.inf:
+        number = isinstance(self.magnitude, (int, float, np.integer, np.floating))
+        if number and not 0 <= self.magnitude < np.inf:
             raise ConfigurationError(f"perturbation magnitude {self.magnitude} must be finite and >= 0")
+        parse_float(self.magnitude, "perturbation magnitude")  # any other value, bools too, raises
         if self.kind == "tight" and self.magnitude != 0:
             raise ConfigurationError("tight prompts take magnitude 0")
         if self.kind == "partial" and not 0.0 < self.magnitude <= 1.0:
@@ -103,23 +106,20 @@ class PipelineConfig:
     proj_tied: bool = True
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigurationError("depth must be >= 1")
+        for name in _INT_FIELDS:
+            setattr(self, name, as_int(getattr(self, name), name, 0 if name == "seed" else 1))
         if self.stage_indices is None:
             self.stage_indices = ((self.depth - 1) // 2,)
-        self.stage_indices = tuple(sorted(set(int(s) for s in self.stage_indices)))
+        self.stage_indices = tuple(sorted(set(as_int(s, "stage_indices") for s in self.stage_indices)))
         if not self.stage_indices or any(s < 0 or s >= self.depth for s in self.stage_indices):
             raise ConfigurationError(
                 f"stage indices {self.stage_indices} must be a non-empty subset of "
                 f"[0, {self.depth})"
             )
-        for name in ("patch_size", "embed_dim", "heads", "d_v", "roi_k", "sampling_ratio"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.roi_k * self.sampling_ratio > MAX_ROI_SAMPLES:
             raise ConfigurationError(f"roi_k * sampling_ratio must be <= {MAX_ROI_SAMPLES}, "
                                      f"got {self.roi_k} * {self.sampling_ratio}")
-        if not 0 < self.ln_eps < np.inf:
+        if parse_float(self.ln_eps, "ln_eps") <= 0:  # checked, not converted
             raise ConfigurationError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
         if self.embed_dim % self.heads:
             raise ConfigurationError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
@@ -129,8 +129,6 @@ class PipelineConfig:
             value = getattr(self, name)
             if type(value) is not type(allowed[0]) or value not in allowed:  # 1 == True, 0 == False
                 raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -153,8 +151,7 @@ class PipelineConfig:
 
 # config-file fields and their parsers (value, key); tau_mode and tau_value make the policy
 _CONFIG_FIELDS = {
-    **dict.fromkeys(("depth", "patch_size", "embed_dim", "heads", "roi_k", "d_v",
-                     "sampling_ratio", "seed"), parse_int),
+    **dict.fromkeys(_INT_FIELDS, parse_int),
     **dict.fromkeys(("mask_mode", "residual", "positional", "proj_tied", "tau_mode"), lambda v, key: v),
     **dict.fromkeys(("ln_eps", "tau_value"), parse_float),
     "stage_indices": lambda v, key: tuple(parse_int(s, key) for s in parse_list(v, key)),
@@ -193,7 +190,7 @@ class CostReport:
 
 def block_flop_terms(n_tokens: int, width: int) -> dict:
     """FLOPs of one encoder block over n tokens, split by term."""
-    n, c = int(n_tokens), int(width)
+    n, c = as_int(n_tokens, "n_tokens", 0), as_int(width, "width", 1)
     return {
         "qkv": 3 * 2 * n * c * c,
         "attention": 2 * 2 * n * n * c,
@@ -207,12 +204,12 @@ def estimate_flops(z: int, width: int, depth: int, tokens_per_block) -> tuple[in
 
     ``tokens_per_block`` lists the live token count entering each block.
     """
-    counts = [int(n) for n in tokens_per_block]
-    if len(counts) != depth:
+    counts = [as_int(n, "tokens_per_block") for n in tokens_per_block]
+    if len(counts) != as_int(depth, "depth", 1):
         raise ShapeError(f"{len(counts)} per-block counts do not match depth {depth}")
     if any(n < 0 or n > z for n in counts):
         raise ConfigurationError(f"per-block counts {counts} must lie in [0, {z}]")
-    full = depth * sum(block_flop_terms(z, width).values())
+    full = len(counts) * sum(block_flop_terms(z, width).values())
     pruned = sum(sum(block_flop_terms(n, width).values()) for n in counts)
     return full, pruned
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, logistic, make_rng
+from .numerics import as_matrix, logistic, make_rng, parse_float
 
 
 @dataclass
@@ -72,6 +72,7 @@ class ThresholdPolicy:
     value: float
 
     def __post_init__(self):
+        parse_float(self.value, "policy value")  # checked, not converted
         if self.mode == "fixed":
             if not 0.0 < self.value < 1.0:
                 raise ConfigurationError(f"fixed threshold {self.value} must lie in (0, 1)")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePromptError, RangeError, ValidationError
-from .numerics import load_json, open_new, parse_float, parse_record
+from .errors import DegeneratePromptError, RangeError, ValidationError
+from .numerics import as_int, load_json, open_new, parse_float, parse_record
 from .tokens import TokenGrid
 
 
@@ -32,9 +32,9 @@ class BoxPrompt:
 
     def __post_init__(self):
         for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, parse_float(getattr(self, name), name, ValidationError))
         vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in vals):
+        if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValidationError(f"box coordinates {vals} must lie in [0, 1]")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValidationError(f"box {vals} must have positive extent")
@@ -127,10 +127,8 @@ def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) ->
     bin value is the mean of its probes. Rows are in row-major bin
     order: bin (by, bx) is row by*k + bx.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if sampling_ratio < 1:
-        raise ConfigurationError(f"sampling_ratio must be >= 1, got {sampling_ratio}")
+    k = as_int(k, "k", 1)
+    n = as_int(sampling_ratio, "sampling_ratio", 1)
     eps = 1e-9
     if box.x1 < -eps or box.y1 < -eps or box.x2 > grid.grid_w + eps or box.y2 > grid.grid_h + eps:
         raise RangeError(
@@ -138,7 +136,6 @@ def roi_align(grid: TokenGrid, box: GridBox, k: int, sampling_ratio: int = 2) ->
             f"{grid.grid_h}x{grid.grid_w} grid"
         )
     fmap = grid.feature_map()
-    n = sampling_ratio
     bin_w = box.width / k
     bin_h = box.height / k
     # sample offsets at (s + 0.5)/n of each bin, s = 0..n-1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import make_rng, open_new, parse_float, parse_int, parse_list, parse_record
+from .numerics import as_int, make_rng, open_new, parse_float, parse_int, parse_list, parse_record
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -113,7 +113,7 @@ def _check_scene(kind: str, size: int) -> None:
 
 def generate_scene(kind: str, size: int, seed: int) -> Scene:
     """Deterministic textured scene with one bright target and its tight box."""
-    h = w = int(size)
+    h = w = as_int(size, "size")
     _check_scene(kind, h)
     rng = make_rng(seed)
     truth = _target_mask(kind, h, w, rng).astype(np.int64)
@@ -159,10 +159,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.policies or not self.k_values or not self.perturbations:
             raise ConfigurationError("sweep lists must be non-empty")
-        if self.seeds < 1:
-            raise ConfigurationError("sweep needs at least one seed")
-        if self.base_seed < 0:
-            raise ConfigurationError(f"base seed must be >= 0, got {self.base_seed}")
+        self.seeds = as_int(self.seeds, "seeds", 1)
+        self.base_seed = as_int(self.base_seed, "base_seed", 0)
+        self.size = as_int(self.size, "size")
+        for k in self.k_values:  # kept as given; a k below 1 is an error row of its cells
+            as_int(k, "k_values")
         rows = len(self.policies) * len(self.k_values) * len(self.perturbations) * self.seeds
         if rows > MAX_SWEEP_ROWS:
             raise ConfigurationError(f"sweep has {rows} rows (cells x seeds), more than {MAX_SWEEP_ROWS}")
@@ -218,7 +219,7 @@ def _cell_row(cell, box: BoxPrompt, prefix, base: PipelineConfig, scene: Scene, 
     try:
         if isinstance(prefix, Exception):
             raise prefix
-        cfg = replace(base, policy=policy, roi_k=int(k))  # a bad k fails here
+        cfg = replace(base, policy=policy, roi_k=k)  # a k below 1 fails here
         pruned, _, report = run_pipeline(scene.image, box, cfg, prefix=prefix, stop_at_last_stage=True)
         used, tight = in_box(box), in_box(scene.tight_box)
         kept = np.zeros_like(used)

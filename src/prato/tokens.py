@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, load_matrix_csv, make_rng, open_new
+from .numerics import as_int, as_matrix, load_matrix_csv, make_rng, open_new
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -96,8 +96,8 @@ def patchify(img, patch_size: int) -> np.ndarray:
     """
     img = validate_image(img)
     c, h, w = img.shape
-    p = int(patch_size)
-    if p < 1 or h % p != 0 or w % p != 0:
+    p = as_int(patch_size, "patch_size", 1)
+    if h % p != 0 or w % p != 0:
         raise ConfigurationError(f"image {h}x{w} is not divisible into {p}x{p} patches")
     gh, gw = h // p, w // p
     # (C, gh, p, gw, p) -> (gh, gw, C, p, p) -> (Z, C*p*p)

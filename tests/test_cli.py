@@ -186,13 +186,13 @@ class TestErrors:
         }[command]
         monkeypatch.setenv("PRATO_SEED", "-1")
         assert main(argv) == 2
-        assert capsys.readouterr().err == "prato: error: PRATO_SEED must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "prato: error: PRATO_SEED must be a non-negative integer, got -1\n"
 
     def test_bad_patch_size_is_one_line(self, scene_files, capsys):
         image, box = scene_files
         rc = main(["prune", "--image", str(image), "--box", str(box), "--patch-size", "0"])
         assert rc == 2
-        assert capsys.readouterr().err == "prato: error: patch_size must be > 0, got 0\n"
+        assert capsys.readouterr().err == "prato: error: patch_size must be a positive integer, got 0\n"
 
     def test_unknown_config_key_is_one_line(self, scene_files, tmp_path, capsys):
         image, box = scene_files

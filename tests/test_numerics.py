@@ -1,6 +1,7 @@
 """Kernel tests: analytic cases, brute-force oracles, and properties."""
 
 import ast
+import json
 import math
 import os
 import struct
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prato import numerics
+from prato.cli import main
 from prato.errors import ConfigurationError, ShapeError, ValidationError
 from prato.numerics import (
     SHIFT_FREE,
@@ -28,8 +30,11 @@ from prato.numerics import (
     parse_float,
     softmax_rows,
 )
-from prato.roi import BoxPrompt, load_box, save_box
-from prato.tokens import IMAGE_MAGIC, load_image, save_image
+from prato.pipeline import PipelineConfig, PromptPerturbation, block_flop_terms, estimate_flops
+from prato.prune import ThresholdPolicy
+from prato.roi import BoxPrompt, GridBox, load_box, roi_align, save_box
+from prato.synth import SweepSpec, generate_scene
+from prato.tokens import IMAGE_MAGIC, TokenGrid, load_image, patchify, save_image
 
 
 class TestSoftmaxRows:
@@ -254,6 +259,91 @@ class TestRng:
     def test_other_seeds_raise_naming_the_seed(self, seed):
         with pytest.raises(ConfigurationError, match="^seed must be a non-negative integer, got "):
             make_rng(seed)
+
+
+# The number law. Each integer field or operand of the public API: its key, its lower bound (None
+# for one whose range check has a message of its own), a call that puts a value there, and a
+# valid value. Python-built records obey the rule a JSON file does.
+_GRID, _BOX = TokenGrid(np.zeros((16, 8)), 4, 4), dict(x1=0.1, y1=0.1, x2=0.9, y2=0.9)
+_POLICIES, _PERTURBATIONS = [ThresholdPolicy("percentile", 25.0)], [PromptPerturbation("tight")]
+_CONFIG_INTS = dict(depth=4, patch_size=16, embed_dim=64, heads=4, roi_k=5, d_v=64,
+                    sampling_ratio=2, seed=3)
+_INTEGERS = {
+    **{f"config.{key}": (key, 0 if key == "seed" else 1,
+                         lambda v, key=key: PipelineConfig(**{key: v}), good)
+       for key, good in _CONFIG_INTS.items()},
+    "config.stage_indices": ("stage_indices", None, lambda v: PipelineConfig(stage_indices=(v,)), 1),
+    "spec.k_values": ("k_values", None, lambda v: SweepSpec(_POLICIES, [v], _PERTURBATIONS, 1), 3),
+    "spec.seeds": ("seeds", 1, lambda v: SweepSpec(_POLICIES, [3], _PERTURBATIONS, v), 2),
+    "spec.base_seed": ("base_seed", 0,
+                       lambda v: SweepSpec(_POLICIES, [3], _PERTURBATIONS, 1, base_seed=v), 0),
+    "spec.size": ("size", None, lambda v: SweepSpec(_POLICIES, [3], _PERTURBATIONS, 1, size=v), 64),
+    "generate_scene.size": ("size", None, lambda v: generate_scene("ellipse", v, 0), 16),
+    "roi_align.k": ("k", 1, lambda v: roi_align(_GRID, GridBox(0, 0, 2, 2), v), 2),
+    "roi_align.sampling_ratio": ("sampling_ratio", 1,
+                                 lambda v: roi_align(_GRID, GridBox(0, 0, 2, 2), 2, v), 2),
+    "patchify.patch_size": ("patch_size", 1, lambda v: patchify(np.zeros((1, 16, 16)), v), 4),
+    "block_flop_terms.n_tokens": ("n_tokens", 0, lambda v: block_flop_terms(v, 8), 4),
+    "block_flop_terms.width": ("width", 1, lambda v: block_flop_terms(4, v), 8),
+    "estimate_flops.count": ("tokens_per_block", None, lambda v: estimate_flops(4, 8, 1, [v]), 4),
+    "estimate_flops.depth": ("depth", 1, lambda v: estimate_flops(4, 8, v, [4]), 1),
+}
+_RULES = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+# Each float field: its key, its error class and a call that puts a value there. A magnitude's
+# NaN, infinities and negatives keep the range message that TestPerturbations holds, and every
+# float's below-range message is unchanged, so those values are not cases here.
+_FLOATS = {
+    "policy.value": ("policy value", ConfigurationError, lambda v: ThresholdPolicy("percentile", v)),
+    "perturbation.magnitude": ("perturbation magnitude", ConfigurationError,
+                               lambda v: PromptPerturbation("oversized", v)),
+    "config.ln_eps": ("ln_eps", ConfigurationError, lambda v: PipelineConfig(ln_eps=v)),
+    **{f"box.{key}": (key, ValidationError, lambda v, key=key: BoxPrompt(**{**_BOX, key: v}))
+       for key in _BOX},
+}
+
+
+def _law_cases():
+    for case, (key, lo, call, _) in _INTEGERS.items():
+        for v in [True, np.bool_(True), 2.5, "3", None] + ([] if lo is None else [lo - 1]):
+            yield pytest.param(call, v, ConfigurationError, f"{key} must be {_RULES[lo]}, got {v!r}",
+                               id=f"{case}={v!r}")
+    for case, (key, error, call) in _FLOATS.items():
+        non_finite = [] if case == "perturbation.magnitude" else [math.nan, math.inf, -math.inf]
+        for v in [True, np.bool_(True), "3", None] + non_finite:
+            yield pytest.param(call, v, error, f"{key} must be a finite number, got {v!r}",
+                               id=f"{case}={v!r}")
+
+
+class TestNumberLaw:
+    @pytest.mark.parametrize("call, value, error, message", _law_cases())
+    def test_a_bad_number_raises_one_message(self, call, value, error, message):
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_accepted_and_records_hold_python_ints(self):
+        for *_, call, good in _INTEGERS.values():
+            for cast in (np.int64, np.uint8):
+                call(cast(good))
+        cfg = PipelineConfig(stage_indices=(np.int64(1),),
+                             **{key: np.int64(v) for key, v in _CONFIG_INTS.items()})
+        assert cfg == PipelineConfig(stage_indices=(1,), **_CONFIG_INTS)
+        assert {type(getattr(cfg, key)) for key in _CONFIG_INTS} | {type(cfg.stage_indices[0])} == {int}
+        assert json.loads(json.dumps(cfg.to_dict())) == PipelineConfig(**_CONFIG_INTS).to_dict()
+        spec = SweepSpec(_POLICIES, [np.int64(3)], _PERTURBATIONS, np.int64(2), size=np.int32(64),
+                         base_seed=np.uint8(5))
+        assert [type(v) for v in (spec.seeds, spec.size, spec.base_seed)] == [int, int, int]
+        assert type(spec.k_values[0]) is np.int64  # checked, kept as given
+
+    def test_as_int_returns_a_python_int_at_each_bound(self):
+        assert numerics.as_int(np.uint64(2**64 - 1), "n") == 2**64 - 1
+        assert [type(numerics.as_int(np.int8(v), "n", v)) for v in (0, 1)] == [int, int]
+        assert numerics.as_int(-(2**70), "n") == -(2**70)
+
+    def test_count_below_one_is_one_cli_line(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "scenes"), "--count", "0"]) == 2
+        assert capsys.readouterr().err == "prato: error: --count must be a positive integer, got 0\n"
+        assert not (tmp_path / "scenes").exists()
 
 
 class TestMatrixIO:
