@@ -17,11 +17,11 @@ softmax, and a head holds O(256 * n) scores instead of O(n^2): one block
 at n = 2048, width 64 peaks at 10.8 MiB of allocation against 162.6 MiB.
 The (n, d_h) queries carry the 1/sqrt(d_h) scale, applied once per head,
 so a (256, n) score block is the plain product q k^T. ``softmax_rows(sc,
-out=sc, v=v)`` takes its exponentials in place and returns (e @ v) * (1 /
-row sums), so the block is never normalized, and it shifts a row by its max
+out=sc, v=v)`` takes its exponentials in place and returns (e @ v) / (row
+sums), so the block is never normalized, and it shifts a row by its max
 only when that max lies outside +-``numerics.SHIFT_FREE`` (64). A block
 takes six passes: product, max, min, exp, row sum and ``@ v``, then a
-(256, d_h) scale.
+(256, d_h) division.
 
 A block over n > ``POOL_ABOVE`` (96) tokens, where two cores measured faster than
 one, runs two :func:`numerics.fan_out` calls. Heads go to group h mod G,
@@ -93,6 +93,7 @@ class BlockWeights:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
+    x = as_matrix(x, "x")
     t = x / np.sqrt(2.0)
     erf(t, out=t)
     t += 1.0

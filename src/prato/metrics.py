@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError, ValidationError
+from .numerics import as_floats, as_matrix
 
 PRED_FLOOR = 1e-12
 DICE_EPS = 1e-5  # smoothing of each class's dice term (2I + eps) / (T + eps)
@@ -21,12 +22,12 @@ DICE_EPS = 1e-5  # smoothing of each class's dice term (2I + eps) / (T + eps)
 def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     # Loss functions tolerate slightly off-simplex inputs so finite-difference
     # probes of single entries remain evaluable.
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim != 3:
-        raise ShapeError(f"prediction must be (H, W, N), got {pred.shape}")
-    if not np.all(np.isfinite(pred)) or pred.min() < -1e-5 or pred.max() > 1 + 1e-5:
+    pred = as_floats(pred, "prediction")
+    if pred.ndim != 3 or not pred.size:
+        raise ShapeError(f"prediction must be (H, W, N) and no size 0, got shape {pred.shape}")
+    if pred.min() < -1e-5 or pred.max() > 1 + 1e-5:
         raise ValidationError("prediction entries must lie in [0, 1]")
-    truth = np.asarray(truth)
+    truth = as_matrix(truth, "truth")
     if truth.shape != pred.shape[:2]:
         raise ShapeError(f"truth shape {truth.shape} does not match prediction {pred.shape[:2]}")
     n = pred.shape[2]
@@ -35,7 +36,7 @@ def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return pred, truth.astype(np.int64)
 
 
-def one_hot(truth: np.ndarray, n_classes: int) -> np.ndarray:
+def _one_hot(truth: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[truth]
 
 
@@ -43,7 +44,7 @@ def dice_loss(pred, truth) -> float:
     """Soft multi-class overlap loss, N minus the summed smoothed dice terms."""
     pred, truth = _check_pair(pred, truth)
     n = pred.shape[2]
-    y = one_hot(truth, n)
+    y = _one_hot(truth, n)
     inter = (pred * y).sum(axis=(0, 1))
     total = (pred + y).sum(axis=(0, 1))
     terms = (2.0 * inter + DICE_EPS) / (total + DICE_EPS)
@@ -55,7 +56,7 @@ def ce_loss(pred, truth) -> float:
     pred, truth = _check_pair(pred, truth)
     clamped = np.clip(pred, PRED_FLOOR, 1.0)
     h, w, n = pred.shape
-    y = one_hot(truth, n)
+    y = _one_hot(truth, n)
     return float(-(y * np.log(clamped)).sum() / (h * w))
 
 
@@ -69,7 +70,7 @@ def loss_gradient(pred, truth) -> np.ndarray:
     if np.any(pred <= 0.0) or np.any(pred >= 1.0):
         raise ValidationError("gradient requires probabilities strictly inside (0, 1)")
     h, w, n = pred.shape
-    y = one_hot(truth, n)
+    y = _one_hot(truth, n)
     inter = (pred * y).sum(axis=(0, 1))  # per class
     total = (pred + y).sum(axis=(0, 1))
     # dice term (2I+eps)/(T+eps): d/dp = (2y(T+eps) - (2I+eps)) / (T+eps)^2
@@ -81,12 +82,9 @@ def loss_gradient(pred, truth) -> np.ndarray:
 
 
 def _check_masks(pred_hard, truth) -> tuple[np.ndarray, np.ndarray]:
-    pred_hard, truth = np.asarray(pred_hard), np.asarray(truth)
+    pred_hard, truth = as_matrix(pred_hard, "prediction mask"), as_matrix(truth, "truth mask")
     if pred_hard.shape != truth.shape:
         raise ShapeError(f"mask shapes {pred_hard.shape} and {truth.shape} differ")
-    for name, m in (("prediction", pred_hard), ("truth", truth)):
-        if m.dtype.kind in "fc" and not np.isfinite(m).all():
-            raise ValidationError(f"{name} mask contains non-finite entries")
     return pred_hard, truth
 
 

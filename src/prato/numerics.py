@@ -1,9 +1,8 @@
 """Dense float64 kernels, the fan-out over cores, seeded randomness, and input parsing.
 
-Matrices are plain 2-D ``numpy.ndarray`` objects in row-major order with
-dtype float64. Every public operation validates its operands and returns
-finite output for finite input. Randomness goes through a counter-based
-Philox generator so that a seed fully determines every sample stream.
+Matrices are plain 2-D ``numpy.ndarray`` objects in row-major order with dtype float64,
+and array operands go through :func:`as_vector` and :func:`as_matrix`. Randomness goes
+through a counter-based Philox generator so that a seed fully determines every sample stream.
 Outside input is read here too: JSON and CSV files, and the JSON records
 (config, sweep spec, box) through :func:`parse_record`, which checks every
 record by one rule with the value parsers :func:`parse_int`, :func:`parse_float`
@@ -77,29 +76,57 @@ def fan_out(fn, count: int) -> list:
     return out
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous 2-D float64 array, validating finiteness."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+def as_floats(a, name: str, finite: bool = True) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array of bools, integers or floats, with ``finite`` no NaN or
+    infinity; any other value, an object array or a text too, raises ValidationError."""
+    try:
+        x = np.asarray(a)
+    except ValueError:  # a ragged nesting
+        x = np.asarray(None)
+    if x.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be an array of numbers")
+    x = np.asarray(x, dtype=np.float64, order="C")  # not ascontiguousarray, which makes 0-d 1-D
+    if finite and not np.isfinite(x).all():
         raise ValidationError(f"{name} contains non-finite entries")
+    return x
+
+
+def as_vector(a, name: str) -> np.ndarray:
+    """``a`` as a 1-D float64 array of at least one entry, all finite (:func:`as_floats`).
+
+    Every public operation takes its array operands through this or :func:`as_matrix`, one message
+    per defect, and returns finite output for finite input. The documented exceptions: images and
+    predictions are 3-D with no size 0, :func:`logistic` is elementwise and maps +-inf to 1 and 0,
+    :func:`softmax_rows` reads finiteness from its row maxima, and coordinates are integers.
+    """
+    v = as_floats(a, name)
+    if v.ndim != 1 or not v.size:
+        raise ShapeError(f"{name} must be 1-D with at least one entry, got shape {v.shape}")
+    return v
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a C-contiguous 2-D float64 array of at least one column, all finite
+    (:func:`as_floats`). Zero rows are a matrix: each operation on one returns its empty result."""
+    m = as_floats(a, name)
+    if m.ndim != 2 or not m.shape[1]:
+        raise ShapeError(f"{name} must be 2-D with at least one column, got shape {m.shape}")
     return m
 
 
 def softmax_rows(m, out=None, v=None) -> np.ndarray:
     """Row-wise softmax of ``m``, or with values ``v`` the product softmax(m) @ v.
 
-    The exponentials go to a fresh array or to ``out`` (may be m). Without ``v`` each row is then
-    multiplied by the reciprocal of its sum; with ``v`` the result is (e @ v) * (1 / row sums), so
-    the (rows, n) block is never normalized, and its passes are max, min, exp, row sum and @ v.
+    The exponentials e go to a fresh array or to ``out`` (may be m). Each row of e, or with ``v`` of
+    e @ v, is then divided by its row sum of e, so a one-column row is exactly 1 and with ``v`` the
+    (rows, n) block is never normalized: its passes are max, min, exp, row sum and @ v.
     A row is shifted by its max only if that max lies outside +-``SHIFT_FREE``, which keeps
     every unshifted row sum within [e^-64, n e^64]. Finiteness is read from the row maxima,
     which a NaN or +inf makes non-finite, and from one minimum for -inf, with no (rows, n) mask;
     a non-finite ``m``, an ``m`` with no columns or a bad ``v`` raises before ``out`` is written.
     """
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] == 0:
+    m = as_floats(m, "m", finite=False)
+    if m.ndim != 2 or not m.shape[1]:
         raise ShapeError(f"m must be 2-D with at least one column, got shape {m.shape}")
     if v is not None:
         v = as_matrix(v, "v")
@@ -114,18 +141,15 @@ def softmax_rows(m, out=None, v=None) -> np.ndarray:
         np.exp(e, out=e)
     else:
         e = np.exp(m, out=out)
-    s = np.reciprocal(e.sum(axis=1, keepdims=True))
     r = e if v is None else e @ v
-    r *= s
+    r /= e.sum(axis=1, keepdims=True)  # divided, so a one-column row is exactly 1
     return r
 
 
 def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
     """Rows to mean 0, variance 1, with no affine part; centred once, bits as np.mean/np.var."""
     m = as_matrix(m, "m")
-    if m.shape[1] == 0:
-        raise ShapeError(f"m must have at least one column, got shape {m.shape}")
-    if eps <= 0:
+    if parse_float(eps, "eps", ValidationError) <= 0:
         raise ValidationError("eps must be positive")
     c = m.shape[1]
     out = m - m.sum(axis=1, keepdims=True) / c
@@ -135,7 +159,7 @@ def layer_norm(m, eps: float = 1e-6) -> np.ndarray:
 
 def logistic(x):
     """Numerically stable 1/(1 + exp(-x)), elementwise; a scalar gives a 0-d array, +-inf 1 and 0."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_floats(x, "x", finite=False)
     if np.isnan(x).any():
         raise ValidationError("logistic input contains NaN")
     out = np.empty_like(x)

@@ -77,10 +77,8 @@ class PromptPerturbation:
     def __post_init__(self):
         if self.kind not in ("tight", "oversized", "partial", "misleading"):
             raise ConfigurationError(f"unknown perturbation kind {self.kind!r}")
-        number = isinstance(self.magnitude, (int, float, np.integer, np.floating))
-        if number and not 0 <= self.magnitude < np.inf:
+        if parse_float(self.magnitude, "perturbation magnitude") < 0:  # checked, not converted
             raise ConfigurationError(f"perturbation magnitude {self.magnitude} must be finite and >= 0")
-        parse_float(self.magnitude, "perturbation magnitude")  # any other value, bools too, raises
         if self.kind == "tight" and self.magnitude != 0:
             raise ConfigurationError("tight prompts take magnitude 0")
         if self.kind == "partial" and not 0.0 < self.magnitude <= 1.0:
@@ -207,6 +205,7 @@ def estimate_flops(z: int, width: int, depth: int, tokens_per_block) -> tuple[in
     counts = [as_int(n, "tokens_per_block") for n in tokens_per_block]
     if len(counts) != as_int(depth, "depth", 1):
         raise ShapeError(f"{len(counts)} per-block counts do not match depth {depth}")
+    z = as_int(z, "z", 0)
     if any(n < 0 or n > z for n in counts):
         raise ConfigurationError(f"per-block counts {counts} must lie in [0, {z}]")
     full = len(counts) * sum(block_flop_terms(z, width).values())

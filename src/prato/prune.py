@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_matrix, logistic, make_rng, parse_float
+from .errors import ConfigurationError, ShapeError
+from .numerics import as_int, as_matrix, as_vector, logistic, make_rng, parse_float
 
 
 @dataclass
@@ -147,10 +147,8 @@ def inverse_entropy_weights(entropies) -> np.ndarray:
     Ties rank by original index. Sorted weights are exactly the uniform
     grid {0, 1/(M-1), ..., 1}; a single entry gives weights = [1].
     """
-    e = np.asarray(entropies, dtype=np.float64).ravel()
+    e = as_vector(entropies, "entropies")
     m = e.size
-    if m == 0:
-        raise ValidationError("empty entropy vector")
     if m == 1:
         return np.ones(1)
     order = np.argsort(e, kind="stable")
@@ -162,9 +160,9 @@ def inverse_entropy_weights(entropies) -> np.ndarray:
 def relevance_scores(similarity, weights) -> np.ndarray:
     """Mean over region rows of the row-weighted similarity map."""
     s = as_matrix(similarity, "similarity")
-    w = np.asarray(weights, dtype=np.float64).ravel()
     if s.shape[0] == 0:
         raise ShapeError("similarity must have at least one row")
+    w = as_vector(weights, "weights")
     if w.size != s.shape[0]:
         raise ShapeError(f"{w.size} weights do not match {s.shape[0]} similarity rows")
     return (w[:, None] * s).mean(axis=0)
@@ -172,7 +170,8 @@ def relevance_scores(similarity, weights) -> np.ndarray:
 
 def retention_target(z: int, percentile: float) -> int:
     """Tokens kept by a percentile policy: ceil(Z * (100 - q) / 100)."""
-    return int(math.ceil(round(z * (100.0 - percentile) / 100.0, 9)))
+    q = parse_float(percentile, "percentile")
+    return int(math.ceil(round(as_int(z, "z", 0) * (100.0 - q) / 100.0, 9)))
 
 
 def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
@@ -182,14 +181,10 @@ def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
     configured value. percentile mode keeps the exact retention target
     count of highest-relevance tokens (ties broken toward the lower
     index) and reports the linearly interpolated percentile as the
-    effective threshold. Non-finite relevance raises ValidationError.
+    effective threshold. The relevance is an :func:`as_vector` operand.
     """
-    r = np.asarray(relevance, dtype=np.float64).ravel()
+    r = as_vector(relevance, "relevance")
     z = r.size
-    if z == 0:
-        raise ValidationError("empty relevance vector")
-    if not np.isfinite(r).all():
-        raise ValidationError("relevance contains non-finite entries")
     if policy.mode == "fixed":
         mask = (logistic(r) > policy.value).astype(np.uint8)
         return mask, float(policy.value)
@@ -207,10 +202,12 @@ def build_mask(relevance, policy: ThresholdPolicy) -> tuple[np.ndarray, float]:
 
 def scatter_tokens(pruned: PrunedTokens) -> np.ndarray:
     """Replace tokens on the full grid, zeros at dropped positions."""
+    tokens, coords = as_matrix(pruned.tokens, "tokens"), np.asarray(pruned.retained_coords)
     if pruned.mode == "zero":
-        return pruned.tokens.copy()
-    width = pruned.tokens.shape[1]
-    out = np.zeros((pruned.grid_h * pruned.grid_w, width))
-    flat = pruned.retained_coords[:, 0] * pruned.grid_w + pruned.retained_coords[:, 1]
-    out[flat] = pruned.tokens
+        return tokens.copy()
+    if coords.dtype.kind not in "iu" or coords.shape != (len(tokens), 2):
+        raise ShapeError(f"retained_coords must be {len(tokens)} integer (row, col) pairs, "
+                         f"got {coords.dtype} of shape {coords.shape}")
+    out = np.zeros((pruned.grid_h * pruned.grid_w, tokens.shape[1]))
+    out[coords[:, 0] * pruned.grid_w + coords[:, 1]] = tokens
     return out

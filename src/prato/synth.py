@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .numerics import as_int, make_rng, open_new, parse_float, parse_int, parse_list, parse_record
+from .numerics import as_int, as_matrix, make_rng, open_new, parse_float, parse_int, parse_list, parse_record
 from .pipeline import (
     PipelineConfig,
     PromptPerturbation,
@@ -55,16 +55,16 @@ def tight_box(truth) -> BoxPrompt:
     x1 = col_min / W and x2 = (col_max + 1) / W, so the box spans the
     outer edges of the extreme foreground pixels; same for rows.
     """
-    truth = np.asarray(truth)
-    ys, xs = np.nonzero(truth)
+    truth = as_matrix(truth, "truth")
+    ys, xs = np.flatnonzero(truth.any(axis=1)), np.flatnonzero(truth.any(axis=0))  # rows, columns hit
     if ys.size == 0:
         raise ValidationError("truth mask has no foreground pixels")
     h, w = truth.shape
     return BoxPrompt(
-        x1=xs.min() / w,
-        y1=ys.min() / h,
-        x2=(xs.max() + 1) / w,
-        y2=(ys.max() + 1) / h,
+        x1=xs[0] / w,
+        y1=ys[0] / h,
+        x2=(xs[-1] + 1) / w,
+        y2=(ys[-1] + 1) / h,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .numerics import as_int, as_matrix, load_matrix_csv, make_rng, open_new
+from .numerics import as_floats, as_int, as_matrix, load_matrix_csv, make_rng, open_new
 
 IMAGE_MAGIC = b"PRTI"
 
@@ -77,11 +77,9 @@ def row_major_index_map(grid_h: int, grid_w: int) -> np.ndarray:
 
 
 def validate_image(img) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
+    img = as_floats(img, "image")
     if img.ndim != 3 or not img.size:
         raise ShapeError(f"image must be (C, H, W) and no size 0, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValidationError("image contains non-finite values")
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValidationError("image values must lie in [0, 1]")
     return img

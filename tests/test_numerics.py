@@ -18,9 +18,23 @@ from hypothesis import strategies as st
 
 from prato import numerics
 from prato.cli import main
+from prato.encoder import BlockWeights, encode_tokens, gelu
 from prato.errors import ConfigurationError, ShapeError, ValidationError
+from prato.metrics import (
+    ce_loss,
+    combo_loss,
+    confusion_counts,
+    dice_loss,
+    dsc_metric,
+    hd95_metric,
+    iou_metric,
+    loss_gradient,
+    metrics_report,
+)
 from prato.numerics import (
     SHIFT_FREE,
+    as_matrix,
+    as_vector,
     fan_out,
     layer_norm,
     load_matrix_csv,
@@ -30,11 +44,43 @@ from prato.numerics import (
     parse_float,
     softmax_rows,
 )
-from prato.pipeline import PipelineConfig, PromptPerturbation, block_flop_terms, estimate_flops
-from prato.prune import ThresholdPolicy
+from prato.pipeline import (
+    PipelineConfig,
+    PromptPerturbation,
+    block_flop_terms,
+    encode_prefix,
+    estimate_flops,
+    prato_score,
+    run_batch,
+    run_pipeline,
+)
+from prato.prune import (
+    Projections,
+    PrunedTokens,
+    ThresholdPolicy,
+    build_mask,
+    compute_similarity,
+    entropy_rows,
+    inverse_entropy_weights,
+    relevance_scores,
+    retention_target,
+    scatter_tokens,
+)
 from prato.roi import BoxPrompt, GridBox, load_box, roi_align, save_box
-from prato.synth import SweepSpec, generate_scene
-from prato.tokens import IMAGE_MAGIC, TokenGrid, load_image, patchify, save_image
+from prato.synth import SweepSpec, generate_scene, tight_box
+from prato.tokens import (
+    IMAGE_MAGIC,
+    EmbedderWeights,
+    TokenGrid,
+    embed_tokens,
+    load_image,
+    make_embedder,
+    patchify,
+    save_image,
+    tokenize_image,
+    validate_image,
+)
+from test_surface import _public_defs
 
 
 class TestSoftmaxRows:
@@ -287,11 +333,12 @@ _INTEGERS = {
     "block_flop_terms.width": ("width", 1, lambda v: block_flop_terms(4, v), 8),
     "estimate_flops.count": ("tokens_per_block", None, lambda v: estimate_flops(4, 8, 1, [v]), 4),
     "estimate_flops.depth": ("depth", 1, lambda v: estimate_flops(4, 8, v, [4]), 1),
+    "estimate_flops.z": ("z", 0, lambda v: estimate_flops(v, 8, 1, [4]), 4),
+    "retention_target.z": ("z", 0, lambda v: retention_target(v, 50.0), 10),
 }
 _RULES = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
-# Each float field: its key, its error class and a call that puts a value there. A magnitude's
-# NaN, infinities and negatives keep the range message that TestPerturbations holds, and every
-# float's below-range message is unchanged, so those values are not cases here.
+# Each float field or operand: its key, its error class and a call that puts a value there. Every
+# float's below-range message is its own, so those values are not cases here.
 _FLOATS = {
     "policy.value": ("policy value", ConfigurationError, lambda v: ThresholdPolicy("percentile", v)),
     "perturbation.magnitude": ("perturbation magnitude", ConfigurationError,
@@ -299,6 +346,9 @@ _FLOATS = {
     "config.ln_eps": ("ln_eps", ConfigurationError, lambda v: PipelineConfig(ln_eps=v)),
     **{f"box.{key}": (key, ValidationError, lambda v, key=key: BoxPrompt(**{**_BOX, key: v}))
        for key in _BOX},
+    "layer_norm.eps": ("eps", ValidationError, lambda v: layer_norm(np.ones((2, 3)), v)),
+    "retention_target.percentile": ("percentile", ConfigurationError,
+                                    lambda v: retention_target(10, v)),
 }
 
 
@@ -308,8 +358,7 @@ def _law_cases():
             yield pytest.param(call, v, ConfigurationError, f"{key} must be {_RULES[lo]}, got {v!r}",
                                id=f"{case}={v!r}")
     for case, (key, error, call) in _FLOATS.items():
-        non_finite = [] if case == "perturbation.magnitude" else [math.nan, math.inf, -math.inf]
-        for v in [True, np.bool_(True), "3", None] + non_finite:
+        for v in [True, np.bool_(True), "3", None, math.nan, math.inf, -math.inf]:
             yield pytest.param(call, v, error, f"{key} must be a finite number, got {v!r}",
                                id=f"{case}={v!r}")
 
@@ -344,6 +393,225 @@ class TestNumberLaw:
         assert main(["synth", "--out", str(tmp_path / "scenes"), "--count", "0"]) == 2
         assert capsys.readouterr().err == "prato: error: --count must be a positive integer, got 0\n"
         assert not (tmp_path / "scenes").exists()
+
+
+# The array law. Each array operand of the public API: a call that puts an array there, a valid
+# array for it, its kind, the name its messages give it, and for a matrix what zero rows give.
+# A kind's rule, with one message per defect:
+#   vector (as_vector): 1-D with at least one entry;
+#   matrix (as_matrix): 2-D with at least one column. Zero rows are a matrix, so each operation
+#     documents what they give: an empty result, or the error of its own check;
+#   image, prediction: 3-D with no size 0;
+#   coords: the (n, 2) integer (row, col) pairs of n tokens;
+# and every entry a finite number (a coordinate an integer). logistic is elementwise: any shape
+# goes, +-inf give 1 and 0, and NaN raises.
+_M = lambda *shape: make_rng(31).random(shape)
+_PROJ = Projections(_M(4, 3), _M(4, 3))
+# one head of width 4: wq, wk, wv, wo, ffn_in, ffn_out
+_BLOCK = [_M(4, 4), _M(4, 4), _M(4, 4), _M(4, 4), _M(4, 16), _M(16, 4)]
+_TINY = PipelineConfig(depth=1, patch_size=2, embed_dim=4, heads=1, roi_k=1, d_v=2)
+_EMBEDDER = make_embedder(1, 2, 4, 2, 2)
+_IMG, _PRED, _LABELS = _M(1, 4, 4), np.full((2, 2, 2), 0.5), np.array([[0, 1], [1, 1]])
+_COORDS = np.array([[0, 0], [1, 1]])
+_NOWHERE = Path(__file__).resolve().parent / "no such directory" / "image.prti"
+_LOSSES = [dice_loss, ce_loss, combo_loss, loss_gradient]
+_MASK_METRICS = {f.__name__: f for f in (confusion_counts, dsc_metric, iou_metric, hd95_metric)}
+_MASK_METRICS["metrics_report"] = lambda pred, truth, cls: metrics_report(pred, truth, [cls])
+
+
+def _gives(shape):
+    return lambda r: np.shape(r) == shape and np.isfinite(r).all()
+
+
+def _block(i, a):
+    """BlockWeights of one head with ``a`` as its i-th matrix, in the order of ``_BLOCK``."""
+    w = _BLOCK[:i] + [a] + _BLOCK[i + 1:]
+    return BlockWeights([w[0]], [w[1]], [w[2]], *w[3:])
+
+
+_BOX_PROMPT = BoxPrompt(**_BOX)
+_ARRAYS = {
+    "as_vector.a": (lambda a: as_vector(a, "a"), _M(3), "vector", "a", None),
+    "as_matrix.a": (lambda a: as_matrix(a, "a"), _M(2, 3), "matrix", "a", _gives((0, 3))),
+    "softmax_rows.m": (softmax_rows, _M(2, 3), "matrix", "m", _gives((0, 3))),
+    "softmax_rows.v": (lambda a: softmax_rows(_M(2, 3), v=a), _M(3, 2), "matrix", "v",
+                       (ShapeError, "v has 0 rows for the 3 columns of m")),
+    "layer_norm.m": (layer_norm, _M(2, 3), "matrix", "m", _gives((0, 3))),
+    "logistic.x": (logistic, _M(2, 3), "elementwise", "x", None),
+    "Projections.f1": (lambda a: Projections(a, _M(4, 3)), _M(4, 3), "matrix", "f1",
+                       (ShapeError, "projection shapes (0, 3) and (4, 3) differ")),
+    "Projections.f2": (lambda a: Projections(_M(4, 3), a), _M(4, 3), "matrix", "f2",
+                       (ShapeError, "projection shapes (4, 3) and (0, 3) differ")),
+    "compute_similarity.region": (lambda a: compute_similarity(a, _M(5, 4), _PROJ), _M(2, 4),
+                                  "matrix", "region", _gives((0, 5))),
+    "compute_similarity.tokens": (lambda a: compute_similarity(_M(2, 4), a, _PROJ), _M(5, 4),
+                                  "matrix", "tokens", _gives((2, 0))),
+    "entropy_rows.probs": (entropy_rows, _M(2, 3), "matrix", "probs", _gives((0,))),
+    "inverse_entropy_weights.entropies": (inverse_entropy_weights, _M(3), "vector", "entropies",
+                                          None),
+    "relevance_scores.similarity": (lambda a: relevance_scores(a, _M(2)), _M(2, 3), "matrix",
+                                    "similarity",
+                                    (ShapeError, "similarity must have at least one row")),
+    "relevance_scores.weights": (lambda a: relevance_scores(_M(2, 3), a), _M(2), "vector",
+                                 "weights", None),
+    "build_mask.relevance.fixed": (lambda a: build_mask(a, ThresholdPolicy("fixed", 0.5)), _M(4),
+                                   "vector", "relevance", None),
+    "build_mask.relevance.percentile": (lambda a: build_mask(a, ThresholdPolicy("percentile", 50.0)),
+                                        _M(4), "vector", "relevance", None),
+    "scatter_tokens.tokens": (lambda a: scatter_tokens(PrunedTokens("compact", a, _COORDS, 2, 2)),
+                              _M(2, 3), "matrix", "tokens",
+                              (ShapeError, "retained_coords must be 0 integer (row, col) pairs, "
+                                           "got int64 of shape (2, 2)")),
+    "scatter_tokens.tokens.zero": (lambda a: scatter_tokens(PrunedTokens("zero", a, _COORDS, 2, 2)),
+                                   _M(4, 3), "matrix", "tokens", _gives((0, 3))),
+    "scatter_tokens.retained_coords": (
+        lambda a: scatter_tokens(PrunedTokens("compact", _M(2, 3), a, 2, 2)), _COORDS, "coords",
+        "retained_coords", None),
+    **{f"BlockWeights.{name}": (lambda a, i=i: _block(i, a), _BLOCK[i], "matrix", name,
+                                (ShapeError, rows))
+       for i, (name, rows) in enumerate([
+           ("wq", "head projection shape (0, 4) != (4, 4)"),
+           ("wk", "head projection shape (0, 4) != (4, 4)"),
+           ("wv", "head projection shape (0, 4) != (4, 4)"),
+           ("wo", "1 heads of width 4 do not tile embed width 0"),
+           ("ffn_in", "ffn shapes (0, 16)/(16, 4) do not match (4, 16)/(16, 4)"),
+           ("ffn_out", "ffn shapes (4, 16)/(0, 4) do not match (4, 16)/(16, 4)")])},
+    "gelu.x": (gelu, _M(2, 3), "matrix", "x", _gives((0, 3))),
+    "encode_tokens.x": (lambda a: encode_tokens(a, _block(0, _BLOCK[0])), _M(5, 4), "matrix",
+                        "tokens", _gives((0, 4))),
+    "TokenGrid.tokens": (lambda a: TokenGrid(a, 2, 2), _M(4, 3), "matrix", "tokens",
+                         (ShapeError, "0 tokens do not fill a 2x2 grid")),
+    "EmbedderWeights.projection": (lambda a: EmbedderWeights(a, _M(4, 3)), _M(4, 3), "matrix",
+                                   "projection", lambda r: r.projection.shape == (0, 3)),
+    "EmbedderWeights.positional": (lambda a: EmbedderWeights(_M(4, 3), a), _M(4, 3), "matrix",
+                                   "positional", lambda r: r.positional.shape == (0, 3)),
+    "embed_tokens.patches": (lambda a: embed_tokens(a, _EMBEDDER, 2, 2), _M(4, 4), "matrix",
+                             "patches",
+                             (ShapeError, "0 patches do not match positional table of 4 rows")),
+    "validate_image.img": (validate_image, _IMG, "image", "image", None),
+    "patchify.img": (lambda a: patchify(a, 2), _IMG, "image", "image", None),
+    "tokenize_image.img": (lambda a: tokenize_image(a, _EMBEDDER, 2), _IMG, "image", "image", None),
+    "save_image.img": (lambda a: save_image(_NOWHERE, a), _IMG, "image", "image", None),
+    "encode_prefix.img": (lambda a: encode_prefix(a, _TINY), _IMG, "image", "image", None),
+    "run_pipeline.img": (lambda a: run_pipeline(a, _BOX_PROMPT, _TINY), _IMG, "image", "image",
+                         None),
+    "run_batch.images": (lambda a: run_batch([a], [_BOX_PROMPT], _TINY), _IMG, "image", "image",
+                         None),
+    "prato_score.tokens": (
+        lambda a: prato_score(TokenGrid(_M(4, 4), 2, 2), _BOX_PROMPT, _PROJ, 1, tokens=a),
+        _M(4, 4), "matrix", "tokens",
+        (ShapeError, "m must be 2-D with at least one column, got shape (1, 0)")),
+    **{f"{f.__name__}.pred": (lambda a, f=f: f(a, _LABELS), _PRED, "prediction", "prediction", None)
+       for f in _LOSSES},
+    **{f"{f.__name__}.truth": (lambda a, f=f: f(_PRED, a), _LABELS, "matrix", "truth",
+                               (ShapeError, "truth shape (0, 2) does not match prediction (2, 2)"))
+       for f in _LOSSES},
+    **{f"{name}.pred_hard": (lambda a, f=f: f(a, _LABELS, 1), _LABELS, "matrix", "prediction mask",
+                             (ShapeError, "mask shapes (0, 2) and (2, 2) differ"))
+       for name, f in _MASK_METRICS.items()},
+    **{f"{name}.truth": (lambda a, f=f: f(_LABELS, a, 1), _LABELS, "matrix", "truth mask",
+                         (ShapeError, "mask shapes (2, 2) and (0, 2) differ"))
+       for name, f in _MASK_METRICS.items()},
+    "tight_box.truth": (tight_box, _LABELS, "matrix", "truth",
+                        (ValidationError, "truth mask has no foreground pixels")),
+}
+_SHAPE_RULES = {
+    "vector": "{name} must be 1-D with at least one entry, got shape {shape}",
+    "matrix": "{name} must be 2-D with at least one column, got shape {shape}",
+    "image": "image must be (C, H, W) and no size 0, got shape {shape}",
+    "prediction": "prediction must be (H, W, N) and no size 0, got shape {shape}",
+    "coords": "retained_coords must be 2 integer (row, col) pairs, got {dtype} of shape {shape}",
+}
+# public defs that take no array operand, or whose arrays another entry checks
+_NO_ARRAY_OPERAND = {
+    # numbers, names, paths, records and callables
+    "group_count", "fan_out", "as_int", "make_rng", "open_new", "load_json", "parse_int",
+    "parse_float", "parse_list", "parse_record", "load_matrix_csv",
+    # the conversion under as_vector and as_matrix, which their cases and the test below cover
+    "as_floats",
+    "PratoError", "ShapeError", "ConfigurationError", "ValidationError", "DegeneratePromptError",
+    "RangeError", "EmptyRetentionError", "UndefinedMetricError", "build_parser", "main",
+    "row_major_index_map", "sinusoidal_positions", "make_embedder", "load_image", "load_plane_csv",
+    "init_block_weights", "make_projections", "ThresholdPolicy", "retention_target",
+    "BoxPrompt", "box_from_dict", "load_box", "save_box", "GridBox", "map_box_to_grid", "roi_align",
+    "PromptPerturbation", "PipelineConfig", "config_from_dict", "CostReport", "block_flop_terms",
+    "estimate_flops", "box_iou", "perturb_prompt", "token_in_box_mask", "PipelineWeights",
+    "weights_key", "build_pipeline_weights", "prefix_key", "aggregate_report",
+    "generate_scene", "save_scene", "SweepSpec", "sweep_spec_from_dict", "run_sweep",
+    # records that a checked call fills: its output, or the input of a call that checks them
+    "RelevanceBundle", "PrunedTokens", "EncodedPrefix", "Scene", "attention_map",
+    # the self-check and its oracles, plain loops over the arrays the checks draw
+    "run_all", "entropy_oracle", "roi_oracle", "bilinear_oracle", "attention_oracle",
+}
+
+
+def _bad_arrays(good):
+    """(defect, array) pairs: the wrong number of dimensions, no rows, no columns, NaN, +-inf and
+    an object array holding a string, each made from the valid array ``good``."""
+    yield "fewer dimensions", good.reshape(-1) if good.ndim > 1 else good[0]
+    yield "more dimensions", good[None]
+    yield "no rows", good[:0]
+    if good.ndim > 1:
+        yield "no columns", good[..., :0]
+    for bad in (math.nan, math.inf, -math.inf):
+        a = good.astype(np.float64)
+        a.flat[0] = bad
+        yield repr(bad), a
+    a = good.astype(object)
+    a.flat[0] = "x"
+    yield "object", a
+
+
+def _outcome(kind, name, rows, defect, a):
+    """What the law asks of one call: an (error, message) pair, or a check of its result."""
+    if defect == "object" and kind != "coords":
+        return ValidationError, f"{name} must be an array of numbers"
+    if kind == "elementwise":
+        if defect == "nan":
+            return ValidationError, "logistic input contains NaN"
+        want = {"inf": 1.0, "-inf": 0.0}.get(defect)
+        return lambda r: (np.shape(r) == np.shape(a) and np.isfinite(r).all()
+                          and (want is None or r.flat[0] == want))
+    if defect in ("nan", "inf", "-inf") and kind != "coords":
+        return ValidationError, f"{name} contains non-finite entries"
+    if defect == "no rows" and kind == "matrix":
+        return rows
+    a = np.asarray(a)
+    return ShapeError, _SHAPE_RULES[kind].format(name=name, shape=a.shape, dtype=a.dtype)
+
+
+def _array_cases():
+    for case, (call, good, kind, name, rows) in _ARRAYS.items():
+        for defect, a in _bad_arrays(good):
+            yield pytest.param(call, a, _outcome(kind, name, rows, defect, a), id=f"{case}:{defect}")
+
+
+@pytest.mark.filterwarnings("error")
+class TestArrayLaw:
+    @pytest.mark.parametrize("call, value, outcome", _array_cases())
+    def test_a_bad_array_raises_one_message_or_gives_its_documented_result(self, call, value,
+                                                                           outcome):
+        if callable(outcome):
+            assert outcome(call(value))
+            return
+        error, message = outcome
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], np.array(["1.5", "2"]), np.array([1j])],
+                             ids=["ragged", "text", "complex"])
+    def test_only_bools_integers_and_floats_are_numbers(self, value):
+        with pytest.raises(ValidationError, match="^a must be an array of numbers$"):
+            as_vector(value, "a")
+
+    def test_every_public_def_is_a_case_or_takes_no_array(self):
+        names = {node.name for path in _SRC.glob("*.py") if path.name != "__init__.py"
+                 for node in _public_defs(ast.parse(path.read_text()))
+                 if not node.name.startswith("check_")}  # the self-checks take a generator
+        cases = {case.split(".")[0] for case in _ARRAYS}
+        assert not cases & _NO_ARRAY_OPERAND
+        assert cases | _NO_ARRAY_OPERAND == names
 
 
 class TestMatrixIO:

@@ -200,8 +200,11 @@ class TestPerturbations:
 
     @pytest.mark.parametrize("magnitude", [-0.5, math.inf, math.nan])
     def test_magnitude_must_be_finite_and_non_negative(self, magnitude):
-        with pytest.raises(ConfigurationError, match="must be finite and >= 0"):
+        with pytest.raises(ConfigurationError) as info:
             PromptPerturbation("oversized", magnitude)
+        assert str(info.value) == (f"perturbation magnitude {magnitude} must be finite and >= 0"
+                                   if magnitude < 0 else
+                                   f"perturbation magnitude must be a finite number, got {magnitude}")
 
     def test_oversized_zero_magnitude_identity(self):
         box = BoxPrompt(0.2, 0.3, 0.6, 0.7)

@@ -96,8 +96,16 @@ class TestInverseEntropyWeights:
     def test_single_entry(self):
         assert np.array_equal(inverse_entropy_weights([3.2]), [1.0])
 
+    def test_one_column_similarity_ranks_by_index(self):
+        # every row's softmax is exactly 1, so every entropy is 0; a row sum taken as a
+        # reciprocal left rows 0 and 2 at 1 - 1 ulp, and ranked them last
+        s = np.array([[-2.1], [0.3], [-4.8], [1.5]])
+        assert np.array_equal(softmax_rows(s), np.ones((4, 1)))
+        weights = inverse_entropy_weights(entropy_rows(softmax_rows(s)))
+        assert np.array_equal(weights, [1, 2 / 3, 1 / 3, 0])
+
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ShapeError, match=r"^entropies must be 1-D with at least one entry, got shape \(0,\)$"):
             inverse_entropy_weights([])
 
     def test_sorted_weights_are_exact_uniform_grid(self):
@@ -143,7 +151,8 @@ class TestRelevanceScores:
     def test_no_similarity_rows_refused(self):
         with pytest.raises(ShapeError, match="at least one row"):
             relevance_scores(np.zeros((0, 5)), np.zeros(0))
-        assert relevance_scores(np.zeros((2, 0)), np.ones(2)).shape == (0,)
+        with pytest.raises(ShapeError, match="^similarity must be 2-D with at least one column"):
+            relevance_scores(np.zeros((2, 0)), np.ones(2))
 
 
 class TestBuildMask:
